@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -221,14 +222,26 @@ class NameMap:
 
 @dataclass(frozen=True)
 class UpdateProgram:
-    """The transformed program whose answer sets encode change pairs."""
+    """The transformed program whose answer sets encode change pairs.
+
+    plus_of and minus_of map each update atom to the abducible literal
+    whose addition or removal it records.
+    """
 
     rules: Program
-    ua_plus: frozenset[Atom]
-    ua_minus: frozenset[Atom]
+    plus_of: Mapping[Atom, Literal] = field(hash=False)
+    minus_of: Mapping[Atom, Literal] = field(hash=False)
     shadows: frozenset[Atom]
     name_map: NameMap
     source: AbductiveProgram
+
+    @property
+    def ua_plus(self) -> frozenset[Atom]:
+        return frozenset(self.plus_of)
+
+    @property
+    def ua_minus(self) -> frozenset[Atom]:
+        return frozenset(self.minus_of)
 
     @property
     def update_atoms(self) -> frozenset[Atom]:
@@ -287,22 +300,24 @@ def _unifiable(a: Literal, b: Literal) -> bool:
     return True
 
 
-def _instances(literal: Literal, constants: Iterable[Term], config: RunConfig) -> list[Literal]:
-    names = sorted(literal.variables())
-    if not names:
-        return [literal]
-    consts = tuple(sorted(set(constants), key=Term.key))
-    if not consts:
-        raise NoConstants("abducible %s has variables but no constant exists" % literal)
+def _bindings(
+    pattern: Literal | Rule, constants: Iterable[Term], config: RunConfig
+) -> list[dict[str, Term]]:
+    """Every assignment of constants to the pattern's variables."""
+    names = sorted(pattern.variables())
+    consts = sorted(set(constants), key=Term.key)
+    if names and not consts:
+        raise NoConstants("abducible %s has variables but no constant exists" % pattern)
     if len(consts) ** len(names) > config.max_ground_rules:
         raise GroundingBudgetExceeded(
             "abducible %s has more instances than the budget of %d"
-            % (literal, config.max_ground_rules)
+            % (pattern, config.max_ground_rules)
         )
-    return [
-        literal.substitute(dict(zip(names, combo)))
-        for combo in itertools.product(consts, repeat=len(names))
-    ]
+    return [dict(zip(names, combo)) for combo in itertools.product(consts, repeat=len(names))]
+
+
+def _instances(literal: Literal, constants: Iterable[Term], config: RunConfig) -> list[Literal]:
+    return [literal.substitute(b) for b in _bindings(literal, constants, config)]
 
 
 def _literal_constants(literal: Literal | None) -> frozenset[Term]:
@@ -409,10 +424,13 @@ def _ordered_vars(rule: Rule) -> list[str]:
     return sorted(rule.variables(), key=lambda n: (len(n), n))
 
 
-def normal_form(ap: AbductiveProgram) -> tuple[AbductiveProgram, NameMap]:
+def normal_form(
+    ap: AbductiveProgram, config: RunConfig | None = None
+) -> tuple[AbductiveProgram, NameMap]:
     """Replace every non-fact abducible R by a name atom: R's body gains the
     name, the name becomes the abducible, and a name fact is added when R
     is part of the program.  Change pairs correspond one to one."""
+    cfg = config or DEFAULT_CONFIG
     named = sorted(
         (r for r in ap.abducibles if not (r.is_fact and len(r.head) == 1)), key=Rule.key
     )
@@ -433,14 +451,7 @@ def normal_form(ap: AbductiveProgram) -> tuple[AbductiveProgram, NameMap]:
         elif r.variables() and constants:
             # the pattern is absent but single instances may still be present;
             # those instances leave the program and keep their name instead
-            names = sorted(r.variables())
-            if len(constants) ** len(names) > DEFAULT_CONFIG.max_ground_rules:
-                raise GroundingBudgetExceeded(
-                    "abducible %s has more instances than the budget of %d"
-                    % (r, DEFAULT_CONFIG.max_ground_rules)
-                )
-            for combo in itertools.product(sorted(constants, key=Term.key), repeat=len(names)):
-                binding = dict(zip(names, combo))
+            for binding in _bindings(r, constants, cfg):
                 inst = r.substitute(binding)
                 if inst in ap.program:
                     new_program = [x for x in new_program if x != inst]
@@ -474,7 +485,7 @@ def _prepare_cached(
     ap: AbductiveProgram, extra_constants: frozenset[Term], cfg: RunConfig
 ) -> _Prepared:
     fixed, renames = _normalize(ap)
-    nf, name_map = normal_form(fixed)
+    nf, name_map = normal_form(fixed, cfg)
     constants = nf.program.constants() | nf.abducibles.constants() | frozenset(extra_constants)
     gp = ground(nf.program, constants, cfg)
     insts: set[Literal] = set()
@@ -492,31 +503,22 @@ def _prepare_cached(
     )
 
 
-def _shadow_literal(lit: Literal) -> Literal:
-    return Literal(Atom(_SHADOW % (0 if lit.positive else 1, lit.atom.predicate), lit.atom.args))
+def _internal_literal(name_format: str, lit: Literal) -> Literal:
+    """The internal atom named name_format % (polarity, predicate) over
+    lit's arguments."""
+    return Literal(
+        Atom(name_format % (0 if lit.positive else 1, lit.atom.predicate), lit.atom.args)
+    )
 
 
-def _plus_literal(lit: Literal) -> Literal:
-    return Literal(Atom(_PLUS % (0 if lit.positive else 1, lit.atom.predicate), lit.atom.args))
+def _choice_rules(a: Literal, shadow: Literal, config: RunConfig) -> list[Rule]:
+    """Rules choosing exactly one of a and its shadow, in the configured encoding."""
+    if config.encoding == "naf-pair":
+        return [Rule([a], [NafLiteral(shadow, True)]), Rule([shadow], [NafLiteral(a, True)])]
+    return [Rule([a, shadow], ())]
 
 
-def _minus_literal(lit: Literal) -> Literal:
-    return Literal(Atom(_MINUS % (0 if lit.positive else 1, lit.atom.predicate), lit.atom.args))
-
-
-@dataclass(frozen=True)
-class _UpdateParts:
-    rules: Program
-    plus_of: Mapping[Atom, Literal]
-    minus_of: Mapping[Atom, Literal]
-    shadows: frozenset[Atom]
-
-    @property
-    def update_atoms(self) -> frozenset[Atom]:
-        return frozenset(self.plus_of) | frozenset(self.minus_of)
-
-
-def _build_update(prep: _Prepared) -> _UpdateParts:
+def _build_update(prep: _Prepared) -> UpdateProgram:
     abducible = set(prep.abducible_literals)
     rules = [
         r
@@ -527,52 +529,51 @@ def _build_update(prep: _Prepared) -> _UpdateParts:
     minus_of: dict[Atom, Literal] = {}
     shadows: set[Atom] = set()
     for a in prep.abducible_literals:
-        shadow = _shadow_literal(a)
+        shadow = _internal_literal(_SHADOW, a)
         shadows.add(shadow.atom)
-        if prep.config.encoding == "naf-pair":
-            rules.append(Rule([a], [NafLiteral(shadow, True)]))
-            rules.append(Rule([shadow], [NafLiteral(a, True)]))
-        else:
-            rules.append(Rule([a, shadow], ()))
+        rules += _choice_rules(a, shadow, prep.config)
         if a in prep.in_program:
-            minus = _minus_literal(a)
+            minus = _internal_literal(_MINUS, a)
             minus_of[minus.atom] = a
             rules.append(Rule([minus], [NafLiteral(a, True)]))
         else:
-            plus = _plus_literal(a)
+            plus = _internal_literal(_PLUS, a)
             plus_of[plus.atom] = a
             rules.append(Rule([plus], [NafLiteral(a, False)]))
-    return _UpdateParts(Program(rules), plus_of, minus_of, frozenset(shadows))
+    return UpdateProgram(
+        Program(rules), plus_of, minus_of, frozenset(shadows), prep.name_map, prep.source
+    )
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
     """Normalize, name, ground, and emit the update transformation of ap."""
-    prep = _prepare(ap, (), config)
-    parts = _build_update(prep)
-    return UpdateProgram(
-        rules=parts.rules,
-        ua_plus=frozenset(parts.plus_of),
-        ua_minus=frozenset(parts.minus_of),
-        shadows=parts.shadows,
-        name_map=prep.name_map,
-        source=ap,
+    return _build_update(_prepare(ap, (), config))
+
+
+def _undominated(projections: list[frozenset], maximal: bool = False) -> list[bool]:
+    """For each projection, whether no other one is a strict subset of it
+    (a strict superset when maximal)."""
+    dominates = operator.gt if maximal else operator.lt
+    return [not any(dominates(other, mine) for other in projections) for mine in projections]
+
+
+def _undominated_sets(
+    result: AnswerSetResult, atoms: Iterable[Atom], maximal: bool = False
+) -> AnswerSetResult:
+    """The consistent answer sets whose projection on atoms is undominated."""
+    atoms = frozenset(atoms)
+    sets = result.consistent_sets
+    flags = _undominated(
+        [frozenset(l for l in s.literals if l.positive and l.atom in atoms) for s in sets],
+        maximal,
     )
+    return AnswerSetResult(tuple(s for s, keep in zip(sets, flags) if keep), False)
 
 
 def u_minimal_filter(result: AnswerSetResult, ua: Iterable[Atom]) -> AnswerSetResult:
     """Keep the consistent answer sets whose update-atom projection is not a
     strict superset of another's."""
-    atoms = frozenset(ua)
-    kept = list(result.consistent_sets)
-    projections = [
-        frozenset(l for l in s.literals if l.positive and l.atom in atoms) for s in kept
-    ]
-    out = [
-        s
-        for s, mine in zip(kept, projections)
-        if not any(other < mine for other in projections)
-    ]
-    return AnswerSetResult(tuple(out), False)
+    return _undominated_sets(result, ua)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +588,14 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
             )
 
 
-def _pairs_from_sets(sets, parts: _UpdateParts):
+def _pairs_from_sets(sets, up: UpdateProgram):
     out, seen = [], set()
     for s in sets:
-        if s.marker:
-            continue
         e = frozenset(
-            parts.plus_of[l.atom] for l in s.literals if l.positive and l.atom in parts.plus_of
+            up.plus_of[l.atom] for l in s.literals if l.positive and l.atom in up.plus_of
         )
         f = frozenset(
-            parts.minus_of[l.atom] for l in s.literals if l.positive and l.atom in parts.minus_of
+            up.minus_of[l.atom] for l in s.literals if l.positive and l.atom in up.minus_of
         )
         if (e, f) not in seen:
             seen.add((e, f))
@@ -624,44 +623,49 @@ def _resolve(prep: _Prepared, lit: Literal) -> Rule:
     return fact(lit)
 
 
-def _emit(prep: _Prepared, pairs, mode: str, flags) -> tuple[Explanation, ...]:
-    out = []
-    for (e, f), flag in zip(pairs, flags):
-        out.append(
-            Explanation(
-                add=[_resolve(prep, l) for l in e],
-                remove=[_resolve(prep, l) for l in f],
-                mode=mode,
-                minimal=flag,
-            )
-        )
-    return tuple(sorted(out, key=Explanation.sort_key))
-
-
 def _componentwise_flags(pairs) -> list[bool]:
-    return [
-        not any(e2 <= e and f2 <= f and (e2, f2) != (e, f) for e2, f2 in pairs)
-        for e, f in pairs
-    ]
+    """For each pair (E, F), whether no other pair is included in it
+    componentwise.  E and F draw from disjoint sets, so that is inclusion
+    of the unions."""
+    return _undominated([e | f for e, f in pairs])
 
 
-def _finish_pairs(prep: _Prepared, pairs, mode: str, minimal: bool) -> tuple[Explanation, ...]:
-    flags = _componentwise_flags(pairs)
-    if minimal:
-        pairs = [p for p, flag in zip(pairs, flags) if flag]
-        flags = [True] * len(pairs)
-    return _emit(prep, pairs, mode, flags)
-
-
-def _finish_credulous(
-    prep: _Prepared, result: AnswerSetResult, parts: _UpdateParts, mode: str, minimal: bool
+def _finish(
+    prep: _Prepared,
+    up: UpdateProgram,
+    result: AnswerSetResult,
+    mode: str,
+    minimal: bool,
+    refute: Iterable[Rule] = (),
 ) -> tuple[Explanation, ...]:
-    if minimal:
-        kept = u_minimal_filter(result, parts.update_atoms)
-        pairs = _pairs_from_sets(kept.sets, parts)
-        return _emit(prep, pairs, mode, [True] * len(pairs))
-    pairs = _pairs_from_sets(result.consistent_sets, parts)
-    return _finish_pairs(prep, pairs, mode, minimal=False)
+    """Explanations read off the answer sets of the update program.
+
+    Minimal credulous pairs come from the U-minimal sets.  A skeptical pair
+    must leave no consistent answer set once the refute rules are added,
+    and its minimality is judged among the pairs passing that re-check.
+    """
+    if mode == CREDULOUS and minimal:
+        sets = u_minimal_filter(result, up.update_atoms).sets
+    else:
+        sets = result.consistent_sets
+    pairs = _pairs_from_sets(sets, up)
+    if mode == SKEPTICAL:
+        pairs = [
+            (e, f)
+            for e, f in pairs
+            if not answer_sets(_apply_pair(prep, e, f, refute), prep.config).has_consistent
+        ]
+    out = [
+        Explanation(
+            add=[_resolve(prep, l) for l in e],
+            remove=[_resolve(prep, l) for l in f],
+            mode=mode,
+            minimal=flag,
+        )
+        for (e, f), flag in zip(pairs, _componentwise_flags(pairs))
+        if flag or not minimal
+    ]
+    return tuple(sorted(out, key=Explanation.sort_key))
 
 
 def explanations(
@@ -686,19 +690,11 @@ def explanations(
     cfg = config or DEFAULT_CONFIG
     _check_literal_non_abducible(ap, obs.literal)
     prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    parts = _build_update(prep)
+    up = _build_update(prep)
     goal = constraint([NafLiteral(obs.literal, True)])
-    result = answer_sets(Program(parts.rules.rules | {goal}), cfg)
-    if mode == CREDULOUS:
-        return _finish_credulous(prep, result, parts, CREDULOUS, minimal)
-    pairs = _pairs_from_sets(result.consistent_sets, parts)
+    result = answer_sets(Program(up.rules.rules | {goal}), cfg)
     refute = constraint([NafLiteral(obs.literal, False)])
-    passing = [
-        (e, f)
-        for e, f in pairs
-        if not answer_sets(_apply_pair(prep, e, f, [refute]), cfg).has_consistent
-    ]
-    return _finish_pairs(prep, passing, SKEPTICAL, minimal)
+    return _finish(prep, up, result, mode, minimal, [refute])
 
 
 def anti_explanations(
@@ -729,26 +725,19 @@ def anti_explanations(
     if obs.literal is not None:
         _check_literal_non_abducible(ap, obs.literal)
     prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    parts = _build_update(prep)
+    up = _build_update(prep)
     if obs.kind == BOT:
-        result = answer_sets(parts.rules, cfg)
-        return _finish_credulous(prep, result, parts, CREDULOUS, minimal)
+        return _finish(prep, up, answer_sets(up.rules, cfg), CREDULOUS, minimal)
     if mode == CREDULOUS:
         goal = constraint([NafLiteral(obs.literal, False)])
-        result = answer_sets(Program(parts.rules.rules | {goal}), cfg)
-        return _finish_credulous(prep, result, parts, CREDULOUS, minimal)
+        result = answer_sets(Program(up.rules.rules | {goal}), cfg)
+        return _finish(prep, up, result, CREDULOUS, minimal)
     witness = Literal(Atom(_ANTI_ATOM))
     bridge = Rule([witness], [NafLiteral(obs.literal, True)])
     goal = constraint([NafLiteral(witness, True)])
-    result = answer_sets(Program(parts.rules.rules | {bridge, goal}), cfg)
-    pairs = _pairs_from_sets(result.consistent_sets, parts)
+    result = answer_sets(Program(up.rules.rules | {bridge, goal}), cfg)
     refute = constraint([NafLiteral(witness, False)])
-    passing = [
-        (e, f)
-        for e, f in pairs
-        if not answer_sets(_apply_pair(prep, e, f, [bridge, refute]), cfg).has_consistent
-    ]
-    return _finish_pairs(prep, passing, SKEPTICAL, minimal)
+    return _finish(prep, up, result, SKEPTICAL, minimal, [bridge, refute])
 
 
 def compile_observations(
@@ -800,10 +789,7 @@ def to_normal_abduction(
         insts.update(_instances(pattern, constants, cfg))
     in_p = sorted((l for l in insts if fact(l) in gp), key=Literal.key)
     out_p = sorted((l for l in insts if fact(l) not in gp), key=Literal.key)
-    mapping = tuple(
-        (a, Literal(Atom(_PRIME % (0 if a.positive else 1, a.atom.predicate), a.atom.args)))
-        for a in in_p
-    )
+    mapping = tuple((a, _internal_literal(_PRIME, a)) for a in in_p)
     removable = set(in_p)
     rules = [
         r

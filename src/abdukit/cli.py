@@ -39,13 +39,14 @@ from .abduction import (
     normal_form,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .core import AbdukitError, Program, program_diff, program_union
+from .core import AbdukitError, Program
 from .parser import EdpSyntaxError, SourceUnit, parse, parse_rule
 from .solver import answer_sets
 from .updates import (
     ALL_RULES,
     FACT_UNIVERSE,
     NoSolution,
+    _apply_delta,
     delete_rule,
     insert_rule,
     maintain_integrity,
@@ -71,11 +72,7 @@ def _literal(text: str):
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "encoding": args.encoding,
-        "output": "machine" if args.json else "text",
-        "trace": getattr(args, "trace", False),
-    }
+    fields = {"encoding": args.encoding}
     if args.max_universe is not None:
         fields["max_universe"] = args.max_universe
     if args.max_ground_rules is not None:
@@ -94,22 +91,27 @@ def _delta_lines(delta) -> list[str]:
     return lines or ["(no change)"]
 
 
-def _solution_documents(solutions) -> dict:
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _solution_documents(changes) -> dict:
+    """The JSON document of (delta, updated program) pairs."""
     return {
         "solutions": [
             {
-                "add": [str(r) for r in sorted(s.delta.add, key=lambda r: r.key())],
-                "remove": [str(r) for r in sorted(s.delta.remove, key=lambda r: r.key())],
-                "program": [str(r) for r in s.updated_program.sorted_rules()],
+                "add": [str(r) for r in sorted(delta.add, key=lambda r: r.key())],
+                "remove": [str(r) for r in sorted(delta.remove, key=lambda r: r.key())],
+                "program": [str(r) for r in program.sorted_rules()],
             }
-            for s in solutions
+            for delta, program in changes
         ]
     }
 
 
 def _emit_solutions(solutions, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(_solution_documents(solutions), indent=2, sort_keys=True))
+        _print_json(_solution_documents((s.delta, s.updated_program) for s in solutions))
         return 0 if solutions else 1
     if not solutions:
         print("no solutions.")
@@ -121,13 +123,6 @@ def _emit_solutions(solutions, as_json: bool) -> int:
         print("% program:")
         _print_program_block(sol.updated_program)
     return 0
-
-
-def _empty_solutions(as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({"solutions": []}, indent=2, sort_keys=True))
-    else:
-        print("no solutions.")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,7 @@ def _cmd_answersets(args: argparse.Namespace) -> int:
             "contradictory": result.contains_contradictory,
             "consistent": result.has_consistent,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
     else:
         for s in result.sets:
             print(s)
@@ -160,7 +155,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     goal = _literal(args.obs)
     minimal = not args.all
     if args.trace and not args.json:
-        nf, _ = normal_form(ap)
+        nf, _ = normal_form(ap, cfg)
         print("% normal form:")
         _print_program_block(nf.program)
         for rule in nf.abducibles.sorted_rules():
@@ -173,19 +168,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         exps = explanations(ap, Observation.positive(goal), args.mode, minimal, cfg)
     if args.json:
-        solutions = []
-        for e in exps:
-            updated = program_union(
-                program_diff(unit.program, Program(e.remove), cfg), Program(e.add), cfg
-            )
-            solutions.append(
-                {
-                    "add": [str(r) for r in sorted(e.add, key=lambda r: r.key())],
-                    "remove": [str(r) for r in sorted(e.remove, key=lambda r: r.key())],
-                    "program": [str(r) for r in updated.sorted_rules()],
-                }
-            )
-        print(json.dumps({"solutions": solutions}, indent=2, sort_keys=True))
+        _print_json(_solution_documents((e, _apply_delta(unit.program, e, cfg)) for e in exps))
         return 0 if exps else 1
     if not exps:
         print("no solutions.")
@@ -263,7 +246,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     unit = _load(args.file)
     ap = AbductiveProgram(unit.program, unit.abducibles)
     if args.stage == "normal-form":
-        nf, _ = normal_form(ap)
+        nf, _ = normal_form(ap, cfg)
         program, abducibles = nf.program, nf.abducibles
     else:
         up = build_update_program(ap, cfg)
@@ -273,7 +256,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             "program": [str(r) for r in program.sorted_rules()],
             "abducibles": [str(r) for r in abducibles.sorted_rules()],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
     else:
         _print_program_block(program)
         for rule in abducibles.sorted_rules():
@@ -380,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except NoSolution as err:
         print("no solution: %s" % err, file=sys.stderr)
-        _empty_solutions(args.json)
-        return 1
+        return _emit_solutions((), args.json)
     except EdpSyntaxError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2

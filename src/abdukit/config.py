@@ -1,4 +1,4 @@
-"""Run-wide limits and output options.
+"""Run-wide limits and switches.
 
 Kept in its own module so core/solver/abduction can import it without
 touching the CLI.
@@ -38,14 +38,10 @@ class RunConfig:
     max_ground_rules: int = 5000
     max_universe: int = field(default_factory=_universe_default)
     encoding: str = "naf-pair"  # or "disjunctive-fact"
-    output: str = "text"  # or "machine"
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.encoding not in ("naf-pair", "disjunctive-fact"):
             raise ValueError("unknown encoding %r" % self.encoding)
-        if self.output not in ("text", "machine"):
-            raise ValueError("unknown output mode %r" % self.output)
         if self.max_ground_rules < 1 or self.max_universe < 1:
             raise ValueError("budgets must be positive")
 

@@ -411,10 +411,6 @@ class Program:
         return "\n".join(str(r) for r in self.sorted_rules())
 
 
-def rule_constants(rule: Rule) -> frozenset[Term]:
-    return Program([rule]).constants()
-
-
 def _ground_rule(
     rule: Rule, constants: tuple[Term, ...]
 ) -> Iterator[Rule]:

@@ -31,9 +31,12 @@ from .abduction import (
     AbductiveProgram,
     Explanation,
     Observation,
+    _SHADOW,
+    _choice_rules,
     _instances,
+    _internal_literal,
     _ordered_vars,
-    _shadow_literal,
+    _undominated_sets,
     anti_explanations,
     explanations,
 )
@@ -113,15 +116,15 @@ def _coerce(rules: Program | Iterable[Rule]) -> Program:
     return rules if isinstance(rules, Program) else Program(rules)
 
 
-def _apply_delta(p: Program, delta: Explanation) -> Program:
+def _apply_delta(p: Program, delta: Explanation, config: RunConfig | None = None) -> Program:
     """(P \\ F) u E, staying at the pattern level when F consists of exact
     member rules and falling back to ground instantiations otherwise."""
     if not delta.add and not delta.remove:
         return p
     if all(r in p.rules for r in delta.remove):
         return Program((p.rules - delta.remove) | delta.add)
-    removed = program_diff(p, Program(delta.remove))
-    return program_union(removed, Program(delta.add))
+    removed = program_diff(p, Program(delta.remove), config)
+    return program_union(removed, Program(delta.add), config)
 
 
 def _solutions(p: Program, exps, kind: str) -> tuple[UpdateSolution, ...]:
@@ -342,12 +345,7 @@ def multi_solution_program(
         gamma = Literal(Atom(_GAMMA % i, tuple(var(n) for n in _ordered_vars(r))))
         markers.append(gamma)
         guarded.append(Rule(r.head, set(r.body) | {NafLiteral(gamma, False)}))
-        shadow = _shadow_literal(gamma)
-        if cfg.encoding == "naf-pair":
-            guarded.append(Rule([gamma], [NafLiteral(shadow, True)]))
-            guarded.append(Rule([shadow], [NafLiteral(gamma, True)]))
-        else:
-            guarded.append(Rule([gamma, shadow], ()))
+        guarded += _choice_rules(gamma, _internal_literal(_SHADOW, gamma), cfg)
     constants = p.constants() | q.constants()
     pi = ground(Program(guarded), constants, cfg)
     delta_atoms = frozenset(
@@ -361,15 +359,4 @@ def delta_maximal_answer_sets(
 ) -> AnswerSetResult:
     """Consistent answer sets whose marker projection is not strictly
     contained in another's."""
-    result = answer_sets(m.pi, config)
-    kept = list(result.consistent_sets)
-    projections = [
-        frozenset(l for l in s.literals if l.positive and l.atom in m.delta_atoms)
-        for s in kept
-    ]
-    out = [
-        s
-        for s, mine in zip(kept, projections)
-        if not any(mine < other for other in projections)
-    ]
-    return AnswerSetResult(tuple(out), False)
+    return _undominated_sets(answer_sets(m.pi, config), m.delta_atoms, maximal=True)

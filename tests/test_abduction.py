@@ -26,7 +26,7 @@ from abdukit.abduction import (
     u_minimal_filter,
 )
 from abdukit.config import RunConfig
-from abdukit.core import Atom, Literal, Program, const, fact, var
+from abdukit.core import Atom, GroundingBudgetExceeded, Literal, Program, const, fact, var
 from abdukit.parser import parse, parse_rule
 from abdukit.solver import answer_sets
 
@@ -251,6 +251,16 @@ bird(polly).
     assert "__n1(tweety)." in got
     assert "__n1(polly)." not in got
     assert "flies(V1) :- __n1(V1), bird(V1)." in got
+
+
+def test_normal_form_honours_the_callers_grounding_budget():
+    # q(X, Y, Z) has 18^3 = 5832 instances, above the default budget of 5000
+    facts = "".join("r(c%d, c%d, c%d).\n" % (i, i, i) for i in range(18))
+    ap = ap_from(facts + "#abducible q(X, Y, Z) :- r(X, Y, Z).\n")
+    up = build_update_program(ap, RunConfig(max_ground_rules=10**6))
+    assert len(up.ua_plus) == 18**3
+    with pytest.raises(GroundingBudgetExceeded):
+        build_update_program(ap)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from abdukit.abduction import AbductiveProgram, Observation, explanations
 from abdukit.cli import main
 from abdukit.core import Program
 from abdukit.parser import parse, parse_rule
-from abdukit.updates import theory_update, view_insert
+from abdukit.updates import _apply_delta, theory_update, view_insert
 from abdukit.core import Literal, Atom, const
 
 
@@ -48,6 +49,7 @@ def files(tmp_path):
     for name, text in [
         ("trans", TRANS),
         ("birds", BIRDS),
+        ("birds_abducible", BIRDS.replace("#variable", "#abducible")),
         ("manager", MANAGER),
         ("nixon", NIXON),
         ("tv1", "sleep :- not tv_on.\nwatch_tv :- tv_on.\ntv_on.\n"),
@@ -319,6 +321,25 @@ def test_json_explain_round_trip(files, capsys):
     assert sol["add"] == ["b."]
     rebuilt = Program([parse_rule(s) for s in sol["program"]])
     assert rebuilt == parse("p :- b.\nq :- a, not b.\na.\nb.").program
+
+
+def test_json_explain_prints_the_pattern_level_program(files, capsys):
+    code, out, _ = run(
+        capsys, ["--json", "explain", files["birds_abducible"], "--obs", "flies(tweety)"]
+    )
+    assert code == 0
+    unit = parse(BIRDS.replace("#variable", "#abducible"))
+    goal = Literal(Atom("flies", (const("tweety"),)))
+    exps = explanations(
+        AbductiveProgram(unit.program, unit.abducibles), Observation.positive(goal)
+    )
+    doc = json.loads(out)
+    assert len(doc["solutions"]) == len(exps) == 1
+    for sol, e in zip(doc["solutions"], exps):
+        expected = _apply_delta(unit.program, e)
+        assert sol["program"] == [str(r) for r in expected.sorted_rules()]
+        assert Program([parse_rule(s) for s in sol["program"]]) == expected
+    assert "flies(V1) :- bird(V1), not ab(V1)." in doc["solutions"][0]["program"]
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,19 @@ def test_results_are_well_formed_on_corpus():
                     assert e.minimal
 
 
+def test_minimal_results_are_the_minimal_part_of_all_results():
+    for i, ap, goal in _instances(200, seed=31337):
+        for kind, mode, minimal in _combos():
+            if not minimal:
+                continue
+            obs = _observe(kind, goal)
+            everything = _engine(ap, obs, mode, False, CFG)
+            expected = tuple(e for e in everything if e.minimal)
+            assert _engine(ap, obs, mode, True, CFG) == expected, (
+                "instance %d %s/%s\n%s" % (i, kind, mode, ap.program)
+            )
+
+
 def _stratified_instance(rng: random.Random):
     program = random_stratified_nlp(rng, max_atoms=6, max_rules=8)
     atoms = sorted({l.atom for l in program.literals()}, key=lambda a: a.key())
