@@ -1,7 +1,7 @@
 """Compare the compiled enumeration kernel against the pure-Python one.
 
 Both kernels consume the same bitmask encoding, so we encode each workload
-once and time `enumerate_answer_sets` on each backend directly.  Workloads:
+once and time `enumerate_answer_sets` on each kernel directly.  Workloads:
 
   corpus    random ground programs with disjunction and strong negation
   update    update programs built from random abductive instances
@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from corpus import random_abduction_instance, random_ground_program
 
+from abdukit import solver
 from abdukit.abduction import AbductiveProgram, build_update_program
 from abdukit.config import RunConfig
 from abdukit.core import Program, fact
@@ -30,10 +31,8 @@ from abdukit.parser import parse
 from abdukit.solver import kernel_py
 from abdukit.solver.encode import encode
 
-try:
-    from abdukit.solver import _kernel as kernel_c
-except ImportError:
-    kernel_c = None
+# solver._kernel is the selected kernel, which is kernel_py when unbuilt
+kernel_c = solver._kernel if solver.KERNEL_NAME == "c" else None
 
 CFG = RunConfig(max_universe=24)
 

@@ -1,7 +1,11 @@
 """Build script wiring the optional C kernel.
 
-The extension is a pure accelerator: if Cython or a C compiler is missing the
-build falls back to the pure-Python kernel and the install still succeeds.
+The extension compiles the committed src/abdukit/solver/_kernel.c with the
+plain C compiler.  It is a pure accelerator: if the compiler is missing or
+fails, the build falls back to the pure-Python kernel and the install still
+succeeds.  The .c is generated from _kernel.pyx; after editing the .pyx,
+regenerate it with ``cython src/abdukit/solver/_kernel.pyx`` (Cython 3)
+and commit both.
 """
 
 from setuptools import Extension, setup
@@ -34,27 +38,9 @@ class optional_build_ext(build_ext):
         )
 
 
-def extensions():
-    import os
-
-    if not os.path.exists("src/abdukit/solver/_kernel.pyx"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "abdukit.solver._kernel",
-                ["src/abdukit/solver/_kernel.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[
+        Extension("abdukit.solver._kernel", ["src/abdukit/solver/_kernel.c"])
+    ],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -39,7 +39,7 @@ from .abduction import (
     normal_form,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .core import AbdukitError, Program
+from .core import AbdukitError, Program, ground
 from .parser import EdpSyntaxError, SourceUnit, parse, parse_rule
 from .solver import answer_sets
 from .updates import (
@@ -132,7 +132,7 @@ def _emit_solutions(solutions, as_json: bool) -> int:
 def _cmd_answersets(args: argparse.Namespace) -> int:
     cfg = _config(args)
     unit = _load(args.file)
-    result = answer_sets(unit.program, cfg)
+    result = answer_sets(ground(unit.program, config=cfg), cfg)
     if args.json:
         doc = {
             "answer_sets": [
@@ -285,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap on distinct ground literals (default %d, env ABDUKIT_MAX_UNIVERSE)"
+        help="cap on distinct ground literals (default %d)"
         % DEFAULT_CONFIG.max_universe,
     )
     top.add_argument(

@@ -6,23 +6,7 @@ touching the CLI.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _universe_default() -> int:
-    raw = os.environ.get("ABDUKIT_MAX_UNIVERSE")
-    if raw is None:
-        return 18
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            "ABDUKIT_MAX_UNIVERSE must be an integer, got %r" % raw
-        ) from None
-    if value < 1:
-        raise ValueError("ABDUKIT_MAX_UNIVERSE must be positive, got %d" % value)
-    return value
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,7 +20,7 @@ class RunConfig:
     """
 
     max_ground_rules: int = 5000
-    max_universe: int = field(default_factory=_universe_default)
+    max_universe: int = 18
     encoding: str = "naf-pair"  # or "disjunctive-fact"
 
     def __post_init__(self) -> None:

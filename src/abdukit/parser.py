@@ -39,11 +39,6 @@ class EdpSyntaxError(AbdukitError):
         self.column = column
 
 
-# short alias; the trailing underscore keeps the builtin reachable
-SyntaxError_ = EdpSyntaxError
-SyntaxError = EdpSyntaxError  # noqa: A001
-
-
 class ReservedName(AbdukitError):
     """User input used the internal "__" namespace."""
 

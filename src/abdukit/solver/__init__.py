@@ -8,14 +8,17 @@ consistent set satisfies it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..config import DEFAULT_CONFIG, RunConfig
 from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
-from . import backend
 from .encode import encode
 
-_kernel = backend.load_kernel()
+try:
+    from . import _kernel
+except ImportError:
+    from . import kernel_py as _kernel
 KERNEL_NAME: str = _kernel.NAME
 
 
@@ -124,7 +127,9 @@ def reduct(p: Program, s: Interpretation) -> Program:
     return Program(out)
 
 
-_CACHE: dict[frozenset[Rule], AnswerSetResult] = {}
+# least recently used entries go first once the bound is reached
+_CACHE_SIZE = 1024
+_CACHE: OrderedDict[frozenset[Rule], AnswerSetResult] = OrderedDict()
 
 
 def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
@@ -140,6 +145,7 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
         )
     cached = _CACHE.get(p.rules)
     if cached is not None:
+        _CACHE.move_to_end(p.rules)
         return cached
     enc = encode(p)
     masks, contradictory = _kernel.enumerate_answer_sets(
@@ -157,6 +163,8 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
         sets.append(CONTRADICTORY)
     result = AnswerSetResult(tuple(sets), contradictory)
     _CACHE[p.rules] = result
+    if len(_CACHE) > _CACHE_SIZE:
+        _CACHE.popitem(last=False)
     return result
 
 

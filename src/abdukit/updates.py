@@ -50,7 +50,6 @@ from .core import (
     Program,
     Rule,
     canonical_form,
-    constraint,
     fact,
     ground,
     program_diff,
@@ -249,41 +248,27 @@ def delete_rule(
     """Remove one rule, then remove whatever minimal extra set an
     inconsistent remainder forces.
 
-    The rule is first disabled rather than dropped: its body gains a
-    marker atom, the marker is asserted, and a constraint forbidding the
-    marker is inserted as a theory update.  Every maximal consistent
-    outcome then drops the marker assertion, and mapping the results back
-    yields the maximal consistent subsets of the program without r.
-    """
+    The remainder is grounded over the program's constants and repaired
+    with every one of its rules removable, so the results are the maximal
+    consistent subsets of the program without r.  Each solution's remove
+    set holds r and the rules the repair dropped."""
+    cfg = config or DEFAULT_CONFIG
     p = _coerce(p)
     r = canonical_form(r)
     if r not in p:
         raise RuleNotPresent("rule not in the program: %s" % r)
-    gamma = Literal(Atom(_GAMMA % 1, tuple(var(n) for n in _ordered_vars(r))))
-    disabled = Rule(r.head, set(r.body) | {NafLiteral(gamma, False)})
-    staged = Program((p.rules - {r}) | {disabled, fact(gamma)})
-    forbid = Program([constraint([NafLiteral(gamma, False)])])
-    inner = _theory_solutions(staged, forbid, RULE_DELETE, config)
-    out = []
-    seen = set()
-    for sol in inner:
-        cleaned = Program(
-            rule
-            for rule in sol.updated_program
-            if not any(l.atom.predicate == gamma.atom.predicate for l in rule.literals())
+    rest = ground(Program(p.rules - {r}), p.constants(), cfg)
+    exps = anti_explanations(
+        AbductiveProgram(rest, rest), Observation.bot(), CREDULOUS, True, cfg
+    )
+    out = [
+        UpdateSolution(
+            _apply_delta(rest, e),
+            Explanation(add=(), remove=[r, *e.remove], mode=CREDULOUS, minimal=True),
+            RULE_DELETE,
         )
-        collateral = [
-            f
-            for f in sol.delta.remove
-            if not any(l.atom.predicate == gamma.atom.predicate for l in f.literals())
-        ]
-        delta = Explanation(
-            add=(), remove=[r] + collateral, mode=CREDULOUS, minimal=True
-        )
-        if delta.pair() in seen:
-            continue
-        seen.add(delta.pair())
-        out.append(UpdateSolution(cleaned, delta, RULE_DELETE))
+        for e in exps
+    ]
     return tuple(sorted(out, key=lambda s: s.delta.sort_key()))
 
 

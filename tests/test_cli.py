@@ -55,6 +55,7 @@ def files(tmp_path):
         ("tv1", "sleep :- not tv_on.\nwatch_tv :- tv_on.\ntv_on.\n"),
         ("tv2", "power_failure.\n:- power_failure, tv_on.\n"),
         ("empty", ""),
+        ("chain", "q(a).\np(X) :- q(X).\n"),
         ("disj", "p; q :- a.\n-q :- not b.\nb.\n#abducible a.\n#abducible b.\n"),
     ]:
         path = tmp_path / ("%s.edp" % name)
@@ -96,6 +97,16 @@ def test_answersets_json(files, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"answer_sets": [["a", "q"]], "consistent": True, "contradictory": False}
+
+
+def test_answersets_non_ground(files, capsys):
+    code, out, _ = run(capsys, ["answersets", files["chain"]])
+    assert code == 0
+    assert out == "{p(a), q(a)}\n"
+    code, out, _ = run(capsys, ["--json", "answersets", files["chain"]])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == {"answer_sets": [["p(a)", "q(a)"]], "consistent": True, "contradictory": False}
 
 
 # ---------------------------------------------------------------------------

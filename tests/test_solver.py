@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
+from abdukit import solver
 from abdukit.config import RunConfig
 from abdukit.core import Atom, Literal, NafLiteral, Program, Rule, var
 from abdukit.parser import parse
@@ -207,3 +210,17 @@ def test_stratified_nlp_single_answer_set():
 def test_matches_reference(text):
     p = prog(text)
     assert answer_sets(p) == reference_answer_sets(p)
+
+
+def test_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+    programs = [Program([Rule([lit("p%d" % i)], [])]) for i in range(solver._CACHE_SIZE + 1)]
+    for p in programs[:-1]:
+        answer_sets(p)
+    assert len(solver._CACHE) == solver._CACHE_SIZE
+    answer_sets(programs[0])  # a hit makes it the most recent entry
+    answer_sets(programs[-1])
+    assert len(solver._CACHE) == solver._CACHE_SIZE
+    assert programs[0].rules in solver._CACHE
+    assert programs[1].rules not in solver._CACHE
+    assert programs[-1].rules in solver._CACHE

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from abdukit.config import RunConfig
 from abdukit.core import (
     Atom,
     Literal,
@@ -35,6 +37,8 @@ from abdukit.updates import (
     view_delete,
     view_insert,
 )
+
+from corpus import random_ground_program
 
 
 def deltas(sols) -> set:
@@ -169,8 +173,6 @@ penguin(tweety).
 #variable -flies(X) :- penguin(X).
 """
     )
-    from abdukit.config import RunConfig
-
     cfg = RunConfig(max_universe=24)
     goal = Literal(Atom("flies", (const("tweety"),)), positive=False)
     sols = view_insert(unit.program, unit.variable_rules, goal, cfg)
@@ -371,17 +373,23 @@ def _maximal_consistent_subsets(rules):
 
 
 def test_delete_rule_matches_subset_oracle():
-    # removing the guard fact leaves an inconsistent remainder, so the
-    # result must be a maximal consistent subset of what is left
-    p = parse("p :- not guard.\n-p.\nguard.").program
-    r = parse_rule("guard.")
-    sols = delete_rule(p, r)
-    rest = p.rules - {canonical_form(r)}
-    oracle = _maximal_consistent_subsets(rest)
-    assert {frozenset(s.updated_program.rules) for s in sols} == oracle
-    for sol in sols:
-        assert canonical_form(r) not in sol.updated_program.rules
-        assert consistent(sol.updated_program)
+    # removing the guard fact leaves an inconsistent remainder, as do some
+    # of the seeded programs; either way the results must be exactly the
+    # maximal consistent subsets of what is left
+    cases = [(parse("p :- not guard.\n-p.\nguard.").program, parse_rule("guard."))]
+    rng = random.Random(20261017)
+    for _ in range(30):
+        p = random_ground_program(rng, max_atoms=4, max_rules=6)
+        cases.append((p, rng.choice(p.sorted_rules())))
+    for p, r in cases:
+        sols = delete_rule(p, r, RunConfig(max_universe=24))
+        rest = p.rules - {canonical_form(r)}
+        oracle = _maximal_consistent_subsets(rest)
+        assert {frozenset(s.updated_program.rules) for s in sols} == oracle
+        for sol in sols:
+            assert canonical_form(r) in sol.delta.remove
+            assert canonical_form(r) not in sol.updated_program.rules
+            assert consistent(sol.updated_program)
 
 
 # ---------------------------------------------------------------------------
