@@ -10,11 +10,16 @@ skeptical (true in every answer set) variants.
 The engine computes them by transformation: abducible rules are named
 away so only abducible facts remain, then each ground abducible becomes a
 choice between itself and a shadow literal, with update atoms recording
-additions (+a) and removals (-a) relative to P.  Answer sets of the
-transformed program correspond to candidate pairs, and the ones whose
-update-atom projection is minimal under set inclusion encode minimal
-change.  A brute-force oracle and a translation to plain introduction-only
-abduction provide independent cross-checks.
+additions (+a) and removals (-a) relative to P.  The update program
+takes nothing from the observation but its constants.  It is solved
+once, and every observation kind and mode is read off its answer sets:
+grouped by the pair (E, F) their update atoms record, a group holds the
+answer sets of P changed by that pair, so the pair explains G
+credulously when some set of its group contains G and skeptically when
+every one does.  The kept sets whose update-atom projection is minimal
+under set inclusion encode minimal change.  A brute-force oracle and a
+translation to plain introduction-only abduction provide independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ from .core import (
     Term,
     VARIABLE,
     canonical_form,
-    constraint,
     fact,
     ground,
     var,
 )
-from .solver import AnswerSetResult, answer_sets
+from .solver import AnswerSetResult, Interpretation, answer_sets
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -61,7 +65,6 @@ _PLUS = "__add%d_%s"
 _MINUS = "__del%d_%s"
 _PRIME = "__prime%d_%s"
 _GOAL_ATOM = "__obs"
-_ANTI_ATOM = "__antigoal"
 
 ORACLE_CAP = 12
 
@@ -588,27 +591,13 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
             )
 
 
-def _pairs_from_sets(sets, up: UpdateProgram):
-    out, seen = [], set()
-    for s in sets:
-        e = frozenset(
-            up.plus_of[l.atom] for l in s.literals if l.positive and l.atom in up.plus_of
-        )
-        f = frozenset(
-            up.minus_of[l.atom] for l in s.literals if l.positive and l.atom in up.minus_of
-        )
-        if (e, f) not in seen:
-            seen.add((e, f))
-            out.append((e, f))
-    return out
-
-
-def _apply_pair(prep: _Prepared, e, f, extra: Iterable[Rule] = ()) -> Program:
-    rules = set(prep.ground_program.rules)
-    rules -= {fact(l) for l in f}
-    rules |= {fact(l) for l in e}
-    rules |= set(extra)
-    return Program(rules)
+def _change_pair(up: UpdateProgram, s: Interpretation) -> tuple[frozenset, frozenset]:
+    """The pair (E, F) that the update atoms of an answer set record."""
+    atoms = [l.atom for l in s.literals if l.positive]
+    return (
+        frozenset(up.plus_of[a] for a in atoms if a in up.plus_of),
+        frozenset(up.minus_of[a] for a in atoms if a in up.minus_of),
+    )
 
 
 def _resolve(prep: _Prepared, lit: Literal) -> Rule:
@@ -633,28 +622,34 @@ def _componentwise_flags(pairs) -> list[bool]:
 def _finish(
     prep: _Prepared,
     up: UpdateProgram,
-    result: AnswerSetResult,
+    obs: Observation,
     mode: str,
     minimal: bool,
-    refute: Iterable[Rule] = (),
 ) -> tuple[Explanation, ...]:
     """Explanations read off the answer sets of the update program.
 
-    Minimal credulous pairs come from the U-minimal sets.  A skeptical pair
-    must leave no consistent answer set once the refute rules are added,
-    and its minimality is judged among the pairs passing that re-check.
+    The update program is solved once, with nothing added for the
+    observation.  Its consistent answer sets that record a pair (E, F)
+    are, apart from internal atoms, the consistent answer sets of P with
+    F removed and E added.  So a pair is kept when its group of sets
+    meets the observation in the given mode, the same test the oracle
+    applies to each changed program.  Minimal pairs are those of the
+    U-minimal sets among the kept ones.
     """
-    if mode == CREDULOUS and minimal:
-        sets = u_minimal_filter(result, up.update_atoms).sets
-    else:
-        sets = result.consistent_sets
-    pairs = _pairs_from_sets(sets, up)
-    if mode == SKEPTICAL:
-        pairs = [
-            (e, f)
-            for e, f in pairs
-            if not answer_sets(_apply_pair(prep, e, f, refute), prep.config).has_consistent
-        ]
+    groups: dict[tuple, list[Interpretation]] = {}
+    for s in answer_sets(up.rules, prep.config).consistent_sets:
+        groups.setdefault(_change_pair(up, s), []).append(s)
+    kept = AnswerSetResult(
+        tuple(
+            s
+            for group in groups.values()
+            if _condition_holds(AnswerSetResult(tuple(group)), obs, mode)
+            for s in group
+        )
+    )
+    if minimal:
+        kept = u_minimal_filter(kept, up.update_atoms)
+    pairs = list(dict.fromkeys(_change_pair(up, s) for s in kept.sets))
     out = [
         Explanation(
             add=[_resolve(prep, l) for l in e],
@@ -675,13 +670,10 @@ def explanations(
     minimal: bool = True,
     config: RunConfig | None = None,
 ) -> tuple[Explanation, ...]:
-    """Change pairs making a positive observation hold.
-
-    Credulous pairs are read off the consistent answer sets of the update
-    program plus the goal constraint; minimal ones off the U-minimal sets.
-    Skeptical pairs additionally require that forcing the observation
-    false leaves no consistent answer set, with minimality judged among
-    the pairs passing that test.
+    """Change pairs making a positive observation hold: in some consistent
+    answer set of the changed program (credulous) or in all of them, with
+    at least one (skeptical).  Minimal pairs are those no other pair of
+    the same mode is included in componentwise.
     """
     if obs.kind != POSITIVE:
         raise ValueError("explanations need a positive observation, got %s" % obs.kind)
@@ -690,11 +682,7 @@ def explanations(
     cfg = config or DEFAULT_CONFIG
     _check_literal_non_abducible(ap, obs.literal)
     prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    up = _build_update(prep)
-    goal = constraint([NafLiteral(obs.literal, True)])
-    result = answer_sets(Program(up.rules.rules | {goal}), cfg)
-    refute = constraint([NafLiteral(obs.literal, False)])
-    return _finish(prep, up, result, mode, minimal, [refute])
+    return _finish(prep, _build_update(prep), obs, mode, minimal)
 
 
 def anti_explanations(
@@ -704,13 +692,11 @@ def anti_explanations(
     minimal: bool = True,
     config: RunConfig | None = None,
 ) -> tuple[Explanation, ...]:
-    """Change pairs making a negative observation fail, or (for bot)
-    restoring consistency.
-
-    Credulous pairs come from the update program plus the constraint
-    forbidding the observation; for bot no constraint is needed.  The
-    skeptical variant routes through a fresh witness atom that holds
-    exactly when the observation is underivable.
+    """Change pairs making a negative observation fail in some consistent
+    answer set of the changed program (credulous) or in all of them, with
+    at least one (skeptical); for bot, pairs leaving the changed program
+    with a consistent answer set.  Every mode reads the same answer sets
+    of the update program as explanations does.
     """
     if obs.kind not in (NEGATIVE, BOT):
         raise ValueError("anti-explanations need a negative or bot observation, got %s" % obs.kind)
@@ -725,19 +711,7 @@ def anti_explanations(
     if obs.literal is not None:
         _check_literal_non_abducible(ap, obs.literal)
     prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    up = _build_update(prep)
-    if obs.kind == BOT:
-        return _finish(prep, up, answer_sets(up.rules, cfg), CREDULOUS, minimal)
-    if mode == CREDULOUS:
-        goal = constraint([NafLiteral(obs.literal, False)])
-        result = answer_sets(Program(up.rules.rules | {goal}), cfg)
-        return _finish(prep, up, result, CREDULOUS, minimal)
-    witness = Literal(Atom(_ANTI_ATOM))
-    bridge = Rule([witness], [NafLiteral(obs.literal, True)])
-    goal = constraint([NafLiteral(witness, True)])
-    result = answer_sets(Program(up.rules.rules | {bridge, goal}), cfg)
-    refute = constraint([NafLiteral(witness, False)])
-    return _finish(prep, up, result, SKEPTICAL, minimal, [bridge, refute])
+    return _finish(prep, _build_update(prep), obs, mode, minimal)
 
 
 def compile_observations(

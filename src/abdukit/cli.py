@@ -71,6 +71,17 @@ def _literal(text: str):
     return lit
 
 
+def _positive_int(text: str) -> int:
+    """The budget options' type: a non-positive value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
+
+
 def _config(args: argparse.Namespace) -> RunConfig:
     fields = {"encoding": args.encoding}
     if args.max_universe is not None:
@@ -282,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--max-universe",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="cap on distinct ground literals (default %d)"
@@ -290,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--max-ground-rules",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="cap on ground rule instances (default %d)" % DEFAULT_CONFIG.max_ground_rules,

@@ -128,7 +128,7 @@ def reduct(p: Program, s: Interpretation) -> Program:
 
 
 # least recently used entries go first once the bound is reached
-_CACHE_SIZE = 1024
+_CACHE_SIZE = 64
 _CACHE: OrderedDict[frozenset[Rule], AnswerSetResult] = OrderedDict()
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
+from abdukit import solver
 from abdukit.abduction import (
     BOT,
     CREDULOUS,
@@ -481,6 +484,20 @@ def test_bot_skeptical_is_rejected():
         anti_explanations(ap, Observation.bot(), SKEPTICAL)
     with pytest.raises(SkepticalBotUnsupported):
         brute_force_explanations(ap, Observation.bot(), SKEPTICAL)
+
+
+def test_one_solve_serves_every_mode(monkeypatch):
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+    calls = []
+    real_encode = solver.encode
+    monkeypatch.setattr(solver, "encode", lambda p: calls.append(p) or real_encode(p))
+    ap = ap_from(CHAIN)
+    p, q = Literal(Atom("p")), Literal(Atom("q"))
+    for mode in (CREDULOUS, SKEPTICAL):
+        assert explanations(ap, Observation.positive(p), mode)
+        assert anti_explanations(ap, Observation.negative(q), mode)
+    assert anti_explanations(ap, Observation.bot())
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,11 @@ def test_non_ground_goal_exits_2(files, capsys):
 
 
 def test_usage_error_exits_2(files):
-    with pytest.raises(SystemExit) as exc:
-        main(["explain", files["trans"]])
-    assert exc.value.code == 2
+    for argv in (
+        ["explain", files["trans"]],
+        ["--max-universe", "0", "answersets", files["trans"]],
+        ["--max-ground-rules", "-1", "answersets", files["trans"]],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from abdukit import solver
 from abdukit.config import RunConfig
-from abdukit.core import Atom, Literal, NafLiteral, Program, Rule, var
+from abdukit.core import AbdukitError, Atom, Literal, NafLiteral, Program, Rule, var
 from abdukit.parser import parse
 from abdukit.solver import (
     CONTRADICTORY,
@@ -23,6 +23,7 @@ from abdukit.solver import (
     reference_answer_sets,
     satisfies,
 )
+from abdukit.solver.encode import encode
 
 
 def prog(text: str) -> Program:
@@ -168,6 +169,13 @@ def test_candidate_budget():
     text = " ".join("p%d :- not q%d. q%d :- not p%d." % (i, i, i, i) for i in range(5))
     with pytest.raises(CandidateBudgetExceeded):
         answer_sets(prog(text), RunConfig(max_universe=8))
+
+
+def test_kernel_bit_ceiling_is_62_head_literals():
+    facts = [Rule([lit("p%d" % i)], []) for i in range(63)]
+    assert len(encode(Program(facts[:62])).layout) == 62
+    with pytest.raises(AbdukitError, match=r"\b63\b.*\b62\b"):
+        encode(Program(facts))
 
 
 def test_is_stratified():
