@@ -228,7 +228,9 @@ class UpdateProgram:
     """The transformed program whose answer sets encode change pairs.
 
     plus_of and minus_of map each update atom to the abducible literal
-    whose addition or removal it records.
+    whose addition or removal it records.  name_map and renames lead
+    internal abducibles back to source rules, and config is the run
+    configuration the program was built under and is solved under.
     """
 
     rules: Program
@@ -237,6 +239,8 @@ class UpdateProgram:
     shadows: frozenset[Atom]
     name_map: NameMap
     source: AbductiveProgram
+    renames: tuple[tuple[Literal, Literal], ...]
+    config: RunConfig
 
     @property
     def ua_plus(self) -> frozenset[Atom]:
@@ -466,46 +470,6 @@ def normal_form(
 # grounding and the update transformation
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    source: AbductiveProgram
-    renames: tuple[tuple[Literal, Literal], ...]
-    name_map: NameMap
-    ground_program: Program
-    abducible_literals: tuple[Literal, ...]
-    in_program: frozenset[Literal]
-    config: RunConfig
-
-
-def _prepare(
-    ap: AbductiveProgram, extra_constants: Iterable[Term] = (), config: RunConfig | None = None
-) -> _Prepared:
-    return _prepare_cached(ap, frozenset(extra_constants), config or DEFAULT_CONFIG)
-
-
-@functools.lru_cache(maxsize=256)
-def _prepare_cached(
-    ap: AbductiveProgram, extra_constants: frozenset[Term], cfg: RunConfig
-) -> _Prepared:
-    fixed, renames = _normalize(ap)
-    nf, name_map = normal_form(fixed, cfg)
-    constants = nf.program.constants() | nf.abducibles.constants() | frozenset(extra_constants)
-    gp = ground(nf.program, constants, cfg)
-    insts: set[Literal] = set()
-    for pattern in nf.fact_patterns():
-        insts.update(_instances(pattern, constants, cfg))
-    in_p = frozenset(l for l in insts if fact(l) in gp)
-    return _Prepared(
-        source=ap,
-        renames=renames,
-        name_map=name_map,
-        ground_program=gp,
-        abducible_literals=tuple(sorted(insts, key=Literal.key)),
-        in_program=in_p,
-        config=cfg,
-    )
-
-
 def _internal_literal(name_format: str, lit: Literal) -> Literal:
     """The internal atom named name_format % (polarity, predicate) over
     lit's arguments."""
@@ -521,21 +485,34 @@ def _choice_rules(a: Literal, shadow: Literal, config: RunConfig) -> list[Rule]:
     return [Rule([a, shadow], ())]
 
 
-def _build_update(prep: _Prepared) -> UpdateProgram:
-    abducible = set(prep.abducible_literals)
+@functools.lru_cache(maxsize=64)
+def _prepare_cached(
+    ap: AbductiveProgram, extra_constants: frozenset[Term], cfg: RunConfig
+) -> UpdateProgram:
+    """Normalize, name and ground ap over its constants and
+    extra_constants, then emit its update transformation.  Every call
+    with the same arguments returns the same object, so the modes asked
+    of one program share one build and one solve."""
+    fixed, renames = _normalize(ap)
+    nf, name_map = normal_form(fixed, cfg)
+    constants = nf.program.constants() | nf.abducibles.constants() | extra_constants
+    gp = ground(nf.program, constants, cfg)
+    abducible: set[Literal] = set()
+    for pattern in nf.fact_patterns():
+        abducible.update(_instances(pattern, constants, cfg))
     rules = [
         r
-        for r in prep.ground_program
+        for r in gp
         if not (r.is_fact and len(r.head) == 1 and next(iter(r.head)) in abducible)
     ]
     plus_of: dict[Atom, Literal] = {}
     minus_of: dict[Atom, Literal] = {}
     shadows: set[Atom] = set()
-    for a in prep.abducible_literals:
+    for a in sorted(abducible, key=Literal.key):
         shadow = _internal_literal(_SHADOW, a)
         shadows.add(shadow.atom)
-        rules += _choice_rules(a, shadow, prep.config)
-        if a in prep.in_program:
+        rules += _choice_rules(a, shadow, cfg)
+        if fact(a) in gp:
             minus = _internal_literal(_MINUS, a)
             minus_of[minus.atom] = a
             rules.append(Rule([minus], [NafLiteral(a, True)]))
@@ -544,13 +521,15 @@ def _build_update(prep: _Prepared) -> UpdateProgram:
             plus_of[plus.atom] = a
             rules.append(Rule([plus], [NafLiteral(a, False)]))
     return UpdateProgram(
-        Program(rules), plus_of, minus_of, frozenset(shadows), prep.name_map, prep.source
+        Program(rules), plus_of, minus_of, frozenset(shadows), name_map, ap, renames, cfg
     )
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
-    """Normalize, name, ground, and emit the update transformation of ap."""
-    return _build_update(_prepare(ap, (), config))
+    """Normalize, name, ground, and emit the update transformation of ap.
+    For an observation without constants this is the very object
+    explanations and anti_explanations solve."""
+    return _prepare_cached(ap, frozenset(), config or DEFAULT_CONFIG)
 
 
 def _undominated(projections: list[frozenset], maximal: bool = False) -> list[bool]:
@@ -600,12 +579,12 @@ def _change_pair(up: UpdateProgram, s: Interpretation) -> tuple[frozenset, froze
     )
 
 
-def _resolve(prep: _Prepared, lit: Literal) -> Rule:
-    if prep.name_map.is_name(lit.atom.predicate):
-        rule = prep.name_map.rule_for(lit.atom)
+def _resolve(up: UpdateProgram, lit: Literal) -> Rule:
+    if up.name_map.is_name(lit.atom.predicate):
+        rule = up.name_map.rule_for(lit.atom)
         if rule is not None:
             return rule
-    for fresh, source in prep.renames:
+    for fresh, source in up.renames:
         binding = _match(fresh, lit)
         if binding is not None:
             return fact(source.substitute(binding))
@@ -620,11 +599,7 @@ def _componentwise_flags(pairs) -> list[bool]:
 
 
 def _finish(
-    prep: _Prepared,
-    up: UpdateProgram,
-    obs: Observation,
-    mode: str,
-    minimal: bool,
+    up: UpdateProgram, obs: Observation, mode: str, minimal: bool
 ) -> tuple[Explanation, ...]:
     """Explanations read off the answer sets of the update program.
 
@@ -637,7 +612,7 @@ def _finish(
     U-minimal sets among the kept ones.
     """
     groups: dict[tuple, list[Interpretation]] = {}
-    for s in answer_sets(up.rules, prep.config).consistent_sets:
+    for s in answer_sets(up.rules, up.config).consistent_sets:
         groups.setdefault(_change_pair(up, s), []).append(s)
     kept = AnswerSetResult(
         tuple(
@@ -652,8 +627,8 @@ def _finish(
     pairs = list(dict.fromkeys(_change_pair(up, s) for s in kept.sets))
     out = [
         Explanation(
-            add=[_resolve(prep, l) for l in e],
-            remove=[_resolve(prep, l) for l in f],
+            add=[_resolve(up, l) for l in e],
+            remove=[_resolve(up, l) for l in f],
             mode=mode,
             minimal=flag,
         )
@@ -681,8 +656,8 @@ def explanations(
         raise ValueError("bad mode %r" % mode)
     cfg = config or DEFAULT_CONFIG
     _check_literal_non_abducible(ap, obs.literal)
-    prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    return _finish(prep, _build_update(prep), obs, mode, minimal)
+    up = _prepare_cached(ap, _literal_constants(obs.literal), cfg)
+    return _finish(up, obs, mode, minimal)
 
 
 def anti_explanations(
@@ -710,8 +685,8 @@ def anti_explanations(
     cfg = config or DEFAULT_CONFIG
     if obs.literal is not None:
         _check_literal_non_abducible(ap, obs.literal)
-    prep = _prepare(ap, _literal_constants(obs.literal), cfg)
-    return _finish(prep, _build_update(prep), obs, mode, minimal)
+    up = _prepare_cached(ap, _literal_constants(obs.literal), cfg)
+    return _finish(up, obs, mode, minimal)
 
 
 def compile_observations(

@@ -67,7 +67,7 @@ def _literal(text: str):
         raise AbdukitError("expected a single literal, got %s" % rule)
     (lit,) = rule.head
     if not lit.is_ground:
-        raise AbdukitError("expected a ground literal, got %s" % lit)
+        raise AbdukitError("expected a ground literal, got %s" % text)
     return lit
 
 

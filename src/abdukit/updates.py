@@ -49,6 +49,7 @@ from .core import (
     NafLiteral,
     Program,
     Rule,
+    _ground_pair,
     canonical_form,
     fact,
     ground,
@@ -207,13 +208,13 @@ def _theory_solutions(
     p: Program, q: Program, kind: str, config: RunConfig | None
 ) -> tuple[UpdateSolution, ...]:
     cfg = config or DEFAULT_CONFIG
-    q_ground = ground(q, p.constants(), cfg)
-    if not consistent(q_ground, cfg):
+    gp, gq = _ground_pair(p, q, cfg)
+    if not consistent(gq, cfg):
         raise NoSolution(
             "the new rules are inconsistent on their own, so no combined program can be"
         )
-    union = program_union(p, q, cfg)
-    removable = program_diff(p, q, cfg)
+    union = program_union(gp, gq, cfg)
+    removable = program_diff(gp, gq, cfg)
     exps = anti_explanations(
         AbductiveProgram(union, removable), Observation.bot(), CREDULOUS, True, cfg
     )

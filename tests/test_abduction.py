@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import pytest
 
-from abdukit import solver
+from abdukit import abduction, solver
 from abdukit.abduction import (
     BOT,
     CREDULOUS,
@@ -31,7 +31,7 @@ from abdukit.abduction import (
 from abdukit.config import RunConfig
 from abdukit.core import Atom, GroundingBudgetExceeded, Literal, Program, const, fact, var
 from abdukit.parser import parse, parse_rule
-from abdukit.solver import answer_sets
+from abdukit.solver import CandidateBudgetExceeded, answer_sets
 
 
 def ap_from(text: str) -> AbductiveProgram:
@@ -498,6 +498,35 @@ def test_one_solve_serves_every_mode(monkeypatch):
         assert anti_explanations(ap, Observation.negative(q), mode)
     assert anti_explanations(ap, Observation.bot())
     assert len(calls) == 1
+
+
+def test_update_program_is_built_once(monkeypatch):
+    ap = ap_from(CHAIN)
+    cfg = RunConfig()
+    assert build_update_program(ap, cfg) is build_update_program(ap, cfg)
+    abduction._prepare_cached.cache_clear()
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+    solved = []
+    real_encode = solver.encode
+    monkeypatch.setattr(solver, "encode", lambda p: solved.append(p) or real_encode(p))
+    p, q = Literal(Atom("p")), Literal(Atom("q"))
+    for mode in (CREDULOUS, SKEPTICAL):
+        explanations(ap, Observation.positive(p), mode)
+        anti_explanations(ap, Observation.negative(q), mode)
+    anti_explanations(ap, Observation.bot())
+    assert abduction._prepare_cached.cache_info().misses == 1
+    assert len(solved) == 1
+    assert solved[0] is build_update_program(ap).rules
+
+
+def test_universe_budget_edge_through_the_pipeline():
+    ap = ap_from(CHAIN)
+    goal = Observation.positive(Literal(Atom("p")))
+    n = len(build_update_program(ap).rules.literals())
+    # the larger cap runs first, so the smaller one meets a cached solve
+    assert explanations(ap, goal, config=RunConfig(max_universe=n)) == explanations(ap, goal)
+    with pytest.raises(CandidateBudgetExceeded, match=r"^%d .* is %d$" % (n, n - 1)):
+        explanations(ap, goal, config=RunConfig(max_universe=n - 1))
 
 
 # ---------------------------------------------------------------------------

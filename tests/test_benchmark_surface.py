@@ -41,6 +41,7 @@ def test_tracer_installs_and_records(tmp_path):
     assert doc["counts"]["abduction.u_minimal_in"] > 0
     assert doc["counts"]["kernel.candidates"] > 0
     assert doc["counts"]["updates.solutions"] > 0
+    assert doc["prepare_hits"] > 0
     assert doc["prepare_misses"] > 0
     assert doc["cache_entries"] > 0
     names = {span[0] for span in doc["spans"]}

@@ -391,12 +391,16 @@ def test_non_ground_goal_exits_2(files, capsys):
     assert "ground" in err
 
 
-def test_usage_error_exits_2(files):
-    for argv in (
-        ["explain", files["trans"]],
-        ["--max-universe", "0", "answersets", files["trans"]],
-        ["--max-ground-rules", "-1", "answersets", files["trans"]],
+def test_usage_error_exits_2(files, capsys):
+    for argv, err in (
+        (["explain", files["trans"]], ""),
+        (["--max-universe", "0", "answersets", files["trans"]], ""),
+        (["--max-ground-rules", "-1", "answersets", files["trans"]], ""),
+        (["explain", files["trans"], "--obs", "q(X)"], "expected a ground literal, got q(X)\n"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert err in capsys.readouterr().err

@@ -171,6 +171,15 @@ def test_candidate_budget():
         answer_sets(prog(text), RunConfig(max_universe=8))
 
 
+def test_candidate_budget_edge_survives_the_cache():
+    p = prog("a :- not b. b :- not a. c :- a.")
+    n = len(p.literals())
+    # the larger cap runs first, so the smaller one meets a cached result
+    assert len(answer_sets(p, RunConfig(max_universe=n)).sets) == 2
+    with pytest.raises(CandidateBudgetExceeded, match=r"^%d .* is %d$" % (n, n - 1)):
+        answer_sets(p, RunConfig(max_universe=n - 1))
+
+
 def test_kernel_bit_ceiling_is_62_head_literals():
     facts = [Rule([lit("p%d" % i)], []) for i in range(63)]
     assert len(encode(Program(facts[:62])).layout) == 62

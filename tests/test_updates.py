@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from abdukit import core, solver, updates
 from abdukit.config import RunConfig
 from abdukit.core import (
     Atom,
@@ -318,6 +319,23 @@ def test_theory_update_by_nothing_equals_repair():
     right = remove_inconsistency(p, ALL_RULES)
     assert deltas(left) == deltas(right)
     assert {s.updated_program for s in left} == {s.updated_program for s in right}
+
+
+def test_theory_update_grounds_each_input_once(monkeypatch):
+    p = parse("flies(X) :- bird(X), not ab(X).\nbird(tweety).\nbird(opus).").program
+    q = parse("ab(X) :- penguin(X).\npenguin(opus).").program
+    expected = theory_update(p, q)
+    grounded = []
+    real_ground = core.ground
+
+    def counting_ground(program, *args, **kwargs):
+        grounded.append(program)
+        return real_ground(program, *args, **kwargs)
+
+    for module in (core, solver, updates):
+        monkeypatch.setattr(module, "ground", counting_ground)
+    assert theory_update(p, q) == expected
+    assert (grounded.count(p), grounded.count(q)) == (1, 1)
 
 
 def test_theory_update_of_consistent_pair_changes_nothing():
