@@ -11,7 +11,7 @@ The engine computes them by transformation: abducible rules are named
 away so only abducible facts remain, then each ground abducible becomes a
 choice between itself and a shadow literal, with update atoms recording
 additions (+a) and removals (-a) relative to P.  The update program
-takes nothing from the observation but its constants.  It is solved
+takes nothing from the observation but the constants P lacks.  It is solved
 once, and every observation kind and mode is read off its answer sets:
 grouped by the pair (E, F) their update atoms record, a group holds the
 answer sets of P changed by that pair, so the pair explains G
@@ -333,6 +333,16 @@ def _literal_constants(literal: Literal | None) -> frozenset[Term]:
     return frozenset(t for t in literal.atom.args if t.is_ground)
 
 
+def _new_constants(ap: AbductiveProgram, literal: Literal | None) -> frozenset[Term]:
+    """The constants of literal that ap's program and abducibles lack.
+    Grounding is over the union, so these are all an observation adds to
+    the update program, and the prepare cache keys on them alone."""
+    consts = _literal_constants(literal)
+    if consts:
+        consts -= ap.program.constants() | ap.abducibles.constants()
+    return consts
+
+
 # ---------------------------------------------------------------------------
 # the two structural assumptions on abductive programs
 
@@ -527,8 +537,8 @@ def _prepare_cached(
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
     """Normalize, name, ground, and emit the update transformation of ap.
-    For an observation without constants this is the very object
-    explanations and anti_explanations solve."""
+    For an observation whose constants all occur in ap this is the very
+    object explanations and anti_explanations solve."""
     return _prepare_cached(ap, frozenset(), config or DEFAULT_CONFIG)
 
 
@@ -656,7 +666,7 @@ def explanations(
         raise ValueError("bad mode %r" % mode)
     cfg = config or DEFAULT_CONFIG
     _check_literal_non_abducible(ap, obs.literal)
-    up = _prepare_cached(ap, _literal_constants(obs.literal), cfg)
+    up = _prepare_cached(ap, _new_constants(ap, obs.literal), cfg)
     return _finish(up, obs, mode, minimal)
 
 
@@ -685,7 +695,7 @@ def anti_explanations(
     cfg = config or DEFAULT_CONFIG
     if obs.literal is not None:
         _check_literal_non_abducible(ap, obs.literal)
-    up = _prepare_cached(ap, _literal_constants(obs.literal), cfg)
+    up = _prepare_cached(ap, _new_constants(ap, obs.literal), cfg)
     return _finish(up, obs, mode, minimal)
 
 

@@ -64,7 +64,7 @@ def _load(path: str) -> SourceUnit:
 def _literal(text: str):
     rule = parse_rule(text.strip().rstrip(".") + ".")
     if not rule.is_fact or len(rule.head) != 1:
-        raise AbdukitError("expected a single literal, got %s" % rule)
+        raise AbdukitError("expected a single literal, got %s" % text)
     (lit,) = rule.head
     if not lit.is_ground:
         raise AbdukitError("expected a ground literal, got %s" % text)

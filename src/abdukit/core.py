@@ -318,14 +318,18 @@ def canonical_form(rule: Rule) -> Rule:
     """Rename variables to V1..Vk so alphabetic variants become equal.
 
     Exact: takes the minimum rule key over every bijection of the rule's
-    variables onto V1..Vk.  Bounded to 8 variables per rule.
+    variables onto V1..Vk.  Bounded to 8 variables per rule.  A canonical
+    rule is marked True rather than pointing at itself, so it sits in no
+    reference cycle and is freed as soon as it is dropped.
     """
     cached = rule.__dict__.get("_canon")
+    if cached is True:
+        return rule
     if cached is not None:
         return cached
     names = sorted(rule.variables())
     if not names:
-        object.__setattr__(rule, "_canon", rule)
+        object.__setattr__(rule, "_canon", True)
         return rule
     if len(names) > _MAX_CANON_VARS:
         raise AbdukitError(
@@ -340,7 +344,7 @@ def canonical_form(rule: Rule) -> Rule:
         k = candidate.key()
         if best_key is None or k < best_key:
             best, best_key = candidate, k
-    object.__setattr__(best, "_canon", best)
+    object.__setattr__(best, "_canon", True)
     object.__setattr__(rule, "_canon", best)
     return best
 

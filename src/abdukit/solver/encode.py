@@ -1,11 +1,13 @@
 """Bitmask encoding of a ground program for the enumeration kernels.
 
-Layout: complementary pairs whose two literals both occur in some head sit
-at adjacent bit positions (positive literal on the even bit), then the
-remaining head literals.  Candidate answer sets only ever contain head
-literals, so body-only literals get no bit: a rule whose positive body
-mentions one can never fire and is dropped, and such literals are stripped
-from NAF masks.
+Only possibly-derivable literals get a bit: those in the least set closed
+under every rule with its NAF body ignored.  No answer set, and no
+candidate the kernels test, leaves that set.  A rule whose positive body
+leaves it can never fire and is dropped, so the layout is exactly the
+heads of the rules that remain, and NAF literals outside it are stripped
+from NAF masks.  Layout: complementary pairs whose two literals are both
+derivable sit at adjacent bit positions (positive literal on the even
+bit), then the remaining derivable literals.
 """
 
 from __future__ import annotations
@@ -39,12 +41,32 @@ class Encoding:
 
 def encode(program: Program) -> Encoding:
     rules = program.sorted_rules()
-    head_lits: set[Literal] = set()
-    for r in rules:
-        head_lits |= r.head
+    # L_P violates every NAF-free constraint of the input, fireable or not
+    has_nf_constraint = any(r.is_constraint and r.is_naf_free for r in rules)
+    # forward chaining with NAF ignored: missing[i] counts the positive
+    # body literals of rule i not yet derived
+    derivable: set[Literal] = set()
+    missing: list[int] = []
+    waiting_on: dict[Literal, list[int]] = {}
+    ready: list[int] = []
+    for i, r in enumerate(rules):
+        pos = r.body_pos()
+        missing.append(len(pos))
+        for lit in pos:
+            waiting_on.setdefault(lit, []).append(i)
+        if not pos:
+            ready.append(i)
+    while ready:
+        for lit in rules[ready.pop()].head - derivable:
+            derivable.add(lit)
+            for j in waiting_on.get(lit, ()):
+                missing[j] -= 1
+                if not missing[j]:
+                    ready.append(j)
+    rules = [r for r, m in zip(rules, missing) if not m]
 
     paired_atoms = sorted(
-        {l.atom for l in head_lits if l.complement() in head_lits and l.positive},
+        {l.atom for l in derivable if l.complement() in derivable and l.positive},
         key=lambda a: a.key(),
     )
     layout: list[Literal] = []
@@ -54,7 +76,7 @@ def encode(program: Program) -> Encoding:
         layout.append(Literal(atom, True))
         layout.append(Literal(atom, False))
     in_pairs = set(layout)
-    for lit in sorted(head_lits - in_pairs, key=Literal.key):
+    for lit in sorted(derivable - in_pairs, key=Literal.key):
         layout.append(lit)
     if len(layout) > _MAX_BITS:
         raise AbdukitError(
@@ -67,21 +89,11 @@ def encode(program: Program) -> Encoding:
     poss: list[int] = []
     nafs: list[int] = []
     notfree: list[int] = []
-    has_nf_constraint = False
     # constraints first: they are the cheapest early rejections
     for r in sorted(rules, key=lambda r: (not r.is_constraint,)):
-        if r.is_constraint and r.is_naf_free:
-            has_nf_constraint = True
         pos = 0
-        out_of_zone = False
         for lit in r.body_pos():
-            i = index.get(lit)
-            if i is None:
-                out_of_zone = True
-                break
-            pos |= 1 << i
-        if out_of_zone:
-            continue  # can never fire on head-zone candidates
+            pos |= 1 << index[lit]
         head = 0
         for lit in r.head:
             head |= 1 << index[lit]

@@ -519,6 +519,24 @@ def test_update_program_is_built_once(monkeypatch):
     assert solved[0] is build_update_program(ap).rules
 
 
+def test_observations_over_known_constants_share_one_update_program():
+    ap = ap_from(
+        "flies(X) :- bird(X), not ab(X).\nbird(tweety).\nbird(opus).\n#abducible ab(X).\n"
+    )
+    cfg = RunConfig()
+    abduction._prepare_cached.cache_clear()
+    for name in ("opus", "tweety"):
+        explanations(ap, Observation.positive(Literal(Atom("flies", (const(name),)))), config=cfg)
+    info = abduction._prepare_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    up = build_update_program(ap, cfg)
+    assert abduction._prepare_cached.cache_info().hits == 2
+    # a constant the program lacks still widens the grounding
+    explanations(ap, Observation.positive(Literal(Atom("flies", (const("polly"),)))), config=cfg)
+    assert abduction._prepare_cached.cache_info().misses == 2
+    assert build_update_program(ap, cfg) is up
+
+
 def test_universe_budget_edge_through_the_pipeline():
     ap = ap_from(CHAIN)
     goal = Observation.positive(Literal(Atom("p")))

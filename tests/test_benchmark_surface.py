@@ -26,6 +26,7 @@ goal = abdukit.Observation.positive(abdukit.Literal(abdukit.Atom("p")))
 for mode in (abdukit.CREDULOUS, abdukit.SKEPTICAL):
     abdukit.explanations(ap, goal, mode)
 abdukit.view_delete(unit.program, unit.abducibles, abdukit.Literal(abdukit.Atom("q")))
+abdukit.answer_sets(abdukit.parse("t :- u.\\nv.\\n").program)
 tracer.write(sys.argv[3])
 """
 
@@ -44,5 +45,6 @@ def test_tracer_installs_and_records(tmp_path):
     assert doc["prepare_hits"] > 0
     assert doc["prepare_misses"] > 0
     assert doc["cache_entries"] > 0
+    assert doc["counts"]["encode.dead_free_bits"] == 0
     names = {span[0] for span in doc["spans"]}
     assert {"abduction.explanations", "kernel.enumerate", "updates.view_delete"} <= names

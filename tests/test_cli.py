@@ -397,6 +397,10 @@ def test_usage_error_exits_2(files, capsys):
         (["--max-universe", "0", "answersets", files["trans"]], ""),
         (["--max-ground-rules", "-1", "answersets", files["trans"]], ""),
         (["explain", files["trans"], "--obs", "q(X)"], "expected a ground literal, got q(X)\n"),
+        (
+            ["explain", files["trans"], "--obs", "p(X) :- q(X)"],
+            "expected a single literal, got p(X) :- q(X)\n",
+        ),
     ):
         try:
             code = main(argv)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from abdukit.config import RunConfig
@@ -78,6 +81,22 @@ def test_canonical_form_identifies_variants():
     b = Rule(head=[lit("p", var("U"), var("W"))], body=[pos(lit("q", var("W"), var("U")))])
     assert canonical_form(a) == canonical_form(b)
     assert Program([a, b]).rules == Program([a]).rules
+
+
+def test_canonicalized_rules_are_freed_without_the_cycle_collector():
+    ground_rule = Rule(head=[lit("p", const("a"))], body=[pos(lit("q", const("a")))])
+    pattern = Rule(head=[lit("p", var("X"))], body=[pos(lit("q", var("X")))])
+    canon = canonical_form(pattern)
+    assert canonical_form(ground_rule) is ground_rule
+    assert canonical_form(canon) is canon
+    assert canonical_form(pattern) is canon
+    refs = [weakref.ref(r) for r in (ground_rule, pattern, canon)]
+    gc.disable()
+    try:
+        del ground_rule, pattern, canon
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_program_contains_uses_canonical_membership():

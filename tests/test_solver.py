@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
 
 import pytest
@@ -24,6 +25,8 @@ from abdukit.solver import (
     satisfies,
 )
 from abdukit.solver.encode import encode
+
+from corpus import random_ground_program
 
 
 def prog(text: str) -> Program:
@@ -182,9 +185,66 @@ def test_candidate_budget_edge_survives_the_cache():
 
 def test_kernel_bit_ceiling_is_62_head_literals():
     facts = [Rule([lit("p%d" % i)], []) for i in range(63)]
-    assert len(encode(Program(facts[:62])).layout) == 62
+    # t can never be derived, so it takes no bit
+    dead = Rule([lit("t")], [NafLiteral(lit("u"), False)])
+    assert len(encode(Program(facts[:62] + [dead])).layout) == 62
     with pytest.raises(AbdukitError, match=r"\b63\b.*\b62\b"):
-        encode(Program(facts))
+        encode(Program(facts + [dead]))
+
+
+def planted_program(rng: random.Random) -> Program:
+    """A corpus program; every other one also holds the unsupported
+    positive loop x :- y. y :- x., a rule whose positive body uses it and,
+    sometimes, a NAF-free constraint on it."""
+    p = random_ground_program(rng, max_atoms=4, max_rules=6)
+    if rng.random() < 0.5:
+        return p
+    x, y = lit("x"), lit("y")
+    rules = set(p.rules) | {Rule([x], [NafLiteral(y, False)]), Rule([y], [NafLiteral(x, False)])}
+    pool = sorted(p.literals(), key=Literal.key)
+    head = rng.sample(pool, min(rng.randint(1, 2), len(pool)))
+    body = [NafLiteral(x, False)] + [NafLiteral(l, rng.random() < 0.5) for l in rng.sample(pool, 1)]
+    rules.add(Rule(head, [e for e in body if e.literal not in head]))
+    if rng.random() < 0.5:
+        rules.add(Rule([], [NafLiteral(rng.choice([x, y]), False)]))
+    return Program(rules)
+
+
+def derivable_literals(p: Program) -> set[Literal]:
+    """The least set closed under every rule of p with its NAF body ignored."""
+    out: set[Literal] = set()
+    while True:
+        new = {l for r in p.rules if r.body_pos() <= out for l in r.head} - out
+        if not new:
+            return out
+        out |= new
+
+
+def test_pruning_matches_reference_with_planted_loops():
+    rng = random.Random(7)
+    for _ in range(2000):
+        p = planted_program(rng)
+        assert answer_sets(p) == reference_answer_sets(p), str(p)
+
+
+def test_encoding_has_no_dead_bits():
+    rng = random.Random(11)
+    for _ in range(2000):
+        p = planted_program(rng)
+        enc = encode(p)
+        heads = 0
+        for head in enc.heads:
+            heads |= head
+        assert enc.free_mask & ~heads == 0, str(p)
+        assert set(enc.layout) <= derivable_literals(p), str(p)
+
+
+@pytest.mark.parametrize("text", [":- y. x :- y. y :- x.", "p. -p. :- y. x :- y. y :- x."])
+def test_underivable_naf_free_constraint_still_excludes_the_marker(text):
+    p = prog(text)
+    assert encode(p).has_naf_free_constraint
+    assert not answer_sets(p).contains_contradictory
+    assert answer_sets(p) == reference_answer_sets(p)
 
 
 def test_is_stratified():
