@@ -8,6 +8,7 @@ consistent set satisfies it.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -168,23 +169,30 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
     return result
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _ground_cached(p: Program, cfg: RunConfig) -> Program:
+    """ground(p) for the reads below, which ask one program again and
+    again; its rules are the key answer_sets caches the result under."""
+    return ground(p, config=cfg)
+
+
 def consistent(p: Program, config: RunConfig | None = None) -> bool:
     """Whether p has a consistent answer set.  Grounds internally."""
     cfg = config or DEFAULT_CONFIG
-    return answer_sets(ground(p, config=cfg), cfg).has_consistent
+    return answer_sets(_ground_cached(p, cfg), cfg).has_consistent
 
 
 def entails(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
     """literal belongs to every answer set (vacuously true with none)."""
     cfg = config or DEFAULT_CONFIG
-    result = answer_sets(ground(p, config=cfg), cfg)
+    result = answer_sets(_ground_cached(p, cfg), cfg)
     return all(s.contains(literal) for s in result.sets)
 
 
 def credulous_holds(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
     """literal belongs to some consistent answer set."""
     cfg = config or DEFAULT_CONFIG
-    result = answer_sets(ground(p, config=cfg), cfg)
+    result = answer_sets(_ground_cached(p, cfg), cfg)
     return any(literal in s.literals for s in result.consistent_sets)
 
 

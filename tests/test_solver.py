@@ -168,8 +168,37 @@ def test_entails_grounds_internally():
     assert not entails(p, Literal(Atom("flies", (const("opus"),))))
 
 
+def test_reads_ground_a_program_once_per_config(monkeypatch):
+    from abdukit.core import GroundingBudgetExceeded, const
+
+    calls = []
+
+    def counting_ground(p, extra_constants=(), config=None):
+        calls.append(config)
+        return ground(p, extra_constants, config)
+
+    ground = solver.ground
+    monkeypatch.setattr(solver, "ground", counting_ground)
+    solver._ground_cached.cache_clear()
+    p = prog("flies(X) :- bird(X), not ab(X). bird(tweety). bird(opus). ab(opus).")
+    tweety, opus = (Literal(Atom("flies", (const(c),))) for c in ("tweety", "opus"))
+    assert consistent(p)
+    assert entails(p, tweety)
+    assert not entails(p, opus)
+    assert credulous_holds(p, tweety)
+    assert len(calls) == 1
+    assert consistent(p, RunConfig(max_universe=20))
+    assert len(calls) == 2
+    # a failed grounding is not remembered: it raises every time
+    tight = RunConfig(max_ground_rules=3)
+    for _ in range(2):
+        with pytest.raises(GroundingBudgetExceeded):
+            consistent(p, tight)
+    assert len(calls) == 4
+
+
 def test_candidate_budget():
-    text = " ".join("p%d :- not q%d. q%d :- not p%d." % (i, i, i, i) for i in range(5))
+    text =" ".join("p%d :- not q%d. q%d :- not p%d." % (i, i, i, i) for i in range(5))
     with pytest.raises(CandidateBudgetExceeded):
         answer_sets(prog(text), RunConfig(max_universe=8))
 
