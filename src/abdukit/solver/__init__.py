@@ -1,9 +1,11 @@
 """Answer-set semantics for ground extended disjunctive programs.
 
-Exhaustive enumeration over candidate sets, exact at desk scale.  The
-contradictory set L_P is modeled explicitly: it is an answer set exactly
-when the program's NAF-free part has no integrity constraint and no
-consistent set satisfies it.
+Exact at desk scale: a ground program is encoded as bitmasks over its
+possibly-derivable literals, and kernel_py finds its answer sets by a
+least-model search when it is head-cycle-free, by generate and test
+otherwise.  The contradictory set L_P is modeled explicitly: it is an
+answer set exactly when the program's NAF-free part has no integrity
+constraint and no consistent set satisfies it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from dataclasses import dataclass
 
 from ..config import DEFAULT_CONFIG, RunConfig
 from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
+from . import kernel_py as _kernel
 from .encode import encode
 
-try:
-    from . import _kernel
-except ImportError:
-    from . import kernel_py as _kernel
+# the one kernel; both names stay for callers that report or wrap it
 KERNEL_NAME: str = _kernel.NAME
 
 

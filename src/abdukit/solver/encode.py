@@ -1,22 +1,21 @@
-"""Bitmask encoding of a ground program for the enumeration kernels.
+"""Bitmask encoding of a ground program for the answer-set kernel.
 
 Only possibly-derivable literals get a bit: those in the least set closed
 under every rule with its NAF body ignored.  No answer set, and no
-candidate the kernels test, leaves that set.  A rule whose positive body
+candidate the kernel tests, leaves that set.  A rule whose positive body
 leaves it can never fire and is dropped, so the layout is exactly the
 heads of the rules that remain, and NAF literals outside it are stripped
 from NAF masks.  Layout: complementary pairs whose two literals are both
 derivable sit at adjacent bit positions (positive literal on the even
-bit), then the remaining derivable literals.
+bit), then the remaining derivable literals.  Masks are Python ints, so
+the layout has no bit ceiling; only the solver's max_universe bounds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import AbdukitError, Literal, Program
-
-_MAX_BITS = 62
+from ..core import Literal, Program
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,6 @@ def encode(program: Program) -> Encoding:
     in_pairs = set(layout)
     for lit in sorted(derivable - in_pairs, key=Literal.key):
         layout.append(lit)
-    if len(layout) > _MAX_BITS:
-        raise AbdukitError(
-            "head zone has %d literals; the kernel supports at most %d"
-            % (len(layout), _MAX_BITS)
-        )
     index = {lit: i for i, lit in enumerate(layout)}
 
     heads: list[int] = []

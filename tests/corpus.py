@@ -73,6 +73,10 @@ def random_abduction_instance(
     abducible_literals = [
         Literal(a, rng.random() < 0.85) for a in rng.sample(atoms, k)
     ]
-    goal_pool = [l for l in program.literals() if l not in abducible_literals]
+    goal_pool = [
+        l
+        for l in sorted(program.literals(), key=Literal.key)
+        if l not in abducible_literals
+    ]
     goal = rng.choice(goal_pool) if goal_pool else Literal(atoms[0], True)
     return program, abducible_literals, goal

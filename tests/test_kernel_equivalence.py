@@ -1,60 +1,32 @@
-"""The compiled and pure-Python kernels must agree bit for bit.
+"""The least-model search must agree bit for bit with generate and test.
 
-The compiled side is built from the committed _kernel.c for this test run
-and loaded beside the package, so the kernel the package selected (and the
-rest of the suite runs on) stays as it is.
+kernel_py.enumerate_answer_sets searches head-cycle-free programs by
+least models and hands every other program to kernel_py._generate_and_test,
+which tests every candidate set and is kept as the oracle here: same
+masks, in the same order, and the same answer on the contradictory set.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
+import time
+from collections import OrderedDict
 
 import pytest
 
 from abdukit import solver
-from abdukit.solver import kernel_py
+from abdukit.abduction import AbductiveProgram, build_update_program
+from abdukit.config import RunConfig
+from abdukit.core import Program, Rule, fact
+from abdukit.parser import parse
+from abdukit.solver import CONTRADICTORY, answer_sets, kernel_py, reference_answer_sets
 from abdukit.solver.encode import encode
 
-from corpus import random_ground_program
-
-ROOT = Path(__file__).resolve().parent.parent
+from corpus import random_abduction_instance, random_ground_program
 
 
-def _compiler() -> str | None:
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(cc.split()[0])
-
-
-@pytest.fixture(scope="module")
-def kernel_c(tmp_path_factory):
-    if _compiler() is None:
-        pytest.skip("no C compiler found")
-    out = tmp_path_factory.mktemp("kernel")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=ROOT, timeout=300, capture_output=True, text=True,
-    )
-    # setup.py swallows compiler errors, so a missing extension is the
-    # only sign that the committed .c no longer builds
-    built = out / "abdukit" / "solver" / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
-    assert built.exists(), "no extension built from _kernel.c:\n" + build.stderr
-    spec = importlib.util.spec_from_file_location("abdukit.solver._kernel", built)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.NAME == "c"
-    return module
-
-
-def run(kernel, enc):
-    return kernel.enumerate_answer_sets(
+def _args(enc) -> tuple:
+    return (
         enc.forced,
         enc.free_mask,
         enc.conflict_first,
@@ -66,40 +38,162 @@ def run(kernel, enc):
     )
 
 
-def test_kernels_agree_on_random_corpus(kernel_c):
+def search(enc):
+    return kernel_py.enumerate_answer_sets(*_args(enc))
+
+
+def generate_and_test(enc):
+    return kernel_py._generate_and_test(*_args(enc))
+
+
+def _disjunctive(enc) -> bool:
+    return any(head & (head - 1) for head in enc.heads)
+
+
+def _head_cycle_free(enc) -> bool:
+    return kernel_py._head_cycle_free(enc.heads, enc.poss)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Records every call the search hands to generate and test."""
+    calls = []
+    fallback = kernel_py._generate_and_test
+    monkeypatch.setattr(
+        kernel_py, "_generate_and_test", lambda *args: calls.append(args) or fallback(*args)
+    )
+    return calls
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+
+
+def test_package_runs_the_search():
+    assert solver._kernel is kernel_py
+    assert solver.KERNEL_NAME == "python"
+
+
+def test_kernels_agree_on_random_corpus():
     rng = random.Random(20260819)
     for _ in range(400):
         enc = encode(random_ground_program(rng))
-        masks_c, contra_c = run(kernel_c, enc)
-        masks_py, contra_py = run(kernel_py, enc)
-        assert masks_c == masks_py
-        assert contra_c == contra_py
+        assert search(enc) == generate_and_test(enc)
 
 
-def test_kernels_agree_on_edge_encodings(kernel_c):
+def test_kernels_agree_on_edge_encodings():
     # empty program, single forced fact, all-conflict zone
     for enc in [
         encode(random_ground_program(random.Random(s), max_atoms=2, max_rules=2))
         for s in range(50)
     ]:
-        assert run(kernel_c, enc) == run(kernel_py, enc)
+        assert search(enc) == generate_and_test(enc)
 
 
-SELECT = """
-import importlib.util, sys
-sys.path.insert(0, sys.argv[2])
-spec = importlib.util.spec_from_file_location("abdukit.solver._kernel", sys.argv[1])
-sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(sys.modules[spec.name])
-import abdukit.solver
-print(abdukit.solver.KERNEL_NAME)
-"""
+def test_kernels_agree_on_head_cycle_free_disjunction(fallback_calls):
+    rng = random.Random(20261019)
+    seen = 0
+    while seen < 1000:
+        enc = encode(random_ground_program(rng))
+        if not (_disjunctive(enc) and _head_cycle_free(enc)):
+            continue
+        seen += 1
+        assert search(enc) == generate_and_test(enc)
+    # the oracle calls above are the only ones: the search took every program
+    assert len(fallback_calls) == seen
 
 
-def test_package_selects_the_extension_when_it_imports(kernel_c):
-    assert solver._kernel is not kernel_c
-    out = subprocess.run(
-        [sys.executable, "-c", SELECT, kernel_c.__file__, str(ROOT / "src")],
-        check=True, capture_output=True, text=True, timeout=60,
-    )
-    assert out.stdout == "c\n"
+HEAD_CYCLES = [
+    "p ; q.  p :- q.  q :- p.",
+    "p ; q :- not r.  p :- q.  q :- p.  r :- not p.",
+    "p ; -p.  p :- -p.  -p :- p.",
+    "p ; q ; r.  p :- q.  q :- r.  r :- p.  :- not p.",
+]
+
+
+@pytest.mark.parametrize("text", HEAD_CYCLES)
+def test_program_with_a_head_cycle_takes_the_fallback(text, fallback_calls, empty_cache):
+    p = parse(text).program
+    assert not _head_cycle_free(encode(p))
+    assert answer_sets(p) == reference_answer_sets(p)
+    assert len(fallback_calls) == 1
+
+
+def test_random_head_cycles_take_the_fallback(fallback_calls, empty_cache):
+    rng = random.Random(20261024)
+    seen = 0
+    while seen < 50:
+        p = random_ground_program(rng, max_atoms=4)
+        if _head_cycle_free(encode(p)):
+            continue
+        seen += 1
+        assert answer_sets(p) == reference_answer_sets(p)
+        assert len(fallback_calls) == seen
+
+
+def _update_programs(encoding: str, count: int, seed: int) -> list[Program]:
+    cfg = RunConfig(max_universe=30, encoding=encoding)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        program, abducible_literals, _ = random_abduction_instance(rng)
+        ap = AbductiveProgram(program, Program([fact(l) for l in abducible_literals]))
+        rules = build_update_program(ap, cfg).rules
+        # generate and test visits 2^free-bits candidates
+        if bin(encode(rules).free_mask).count("1") <= 14:
+            out.append(rules)
+    return out
+
+
+@pytest.mark.parametrize("encoding", ["naf-pair", "disjunctive-fact"])
+def test_kernels_agree_on_update_programs(encoding):
+    for rules in _update_programs(encoding, 150, seed=20261020):
+        enc = encode(rules)
+        assert search(enc) == generate_and_test(enc)
+
+
+def test_search_matches_reference(empty_cache):
+    rng = random.Random(20261021)
+    programs = [random_ground_program(rng) for _ in range(300)]
+    programs += _update_programs("naf-pair", 30, seed=20261022)
+    programs += _update_programs("disjunctive-fact", 30, seed=20261023)
+    checked = 0
+    for p in programs:
+        if len(p.literals()) <= 16:
+            checked += 1
+            assert answer_sets(p) == reference_answer_sets(p)
+    assert checked > 300
+
+
+def test_contradictory_set_with_disjunctive_naf_free_rules(empty_cache):
+    # the L_P test searches models of the NAF-free rules, not the search
+    rng = random.Random(20261025)
+    seen = contradictory = 0
+    while seen < 300:
+        p = random_ground_program(rng)
+        disjunctive = [r for r in p.rules if r.is_naf_free and len(r.head) > 1]
+        if not disjunctive or any(r.is_naf_free and not r.head for r in p.rules):
+            continue
+        if rng.random() < 0.5:
+            # complement facts for one disjunctive head make L_P likely
+            heads = rng.choice(disjunctive).head
+            p = Program(list(p.rules) + [Rule([l.complement()], []) for l in heads])
+        if len(p.literals()) > 16:
+            continue
+        seen += 1
+        result = answer_sets(p, RunConfig(max_universe=16))
+        assert result == reference_answer_sets(p)
+        contradictory += result.contains_contradictory
+    assert contradictory > 50
+
+
+def test_contradictory_set_ignores_bits_outside_naf_free_heads(empty_cache):
+    # only L_P is an answer set; the 24 choice bits cannot help a model
+    # of `a ; b.` avoid -a and -b
+    pairs = " ".join("x%d :- not y%d.  y%d :- not x%d." % (i, i, i, i) for i in range(12))
+    p = parse("a ; b.  -a.  -b.  " + pairs).program
+    start = time.process_time()
+    result = answer_sets(p, RunConfig(max_universe=64))
+    assert time.process_time() - start < 1.0
+    assert result.sets == (CONTRADICTORY,)

@@ -7,7 +7,7 @@ import pytest
 
 from abdukit import solver
 from abdukit.config import RunConfig
-from abdukit.core import AbdukitError, Atom, Literal, NafLiteral, Program, Rule, var
+from abdukit.core import Atom, Literal, NafLiteral, Program, Rule, var
 from abdukit.parser import parse
 from abdukit.solver import (
     CONTRADICTORY,
@@ -212,13 +212,14 @@ def test_candidate_budget_edge_survives_the_cache():
         answer_sets(p, RunConfig(max_universe=n - 1))
 
 
-def test_kernel_bit_ceiling_is_62_head_literals():
+def test_encode_has_no_bit_ceiling():
     facts = [Rule([lit("p%d" % i)], []) for i in range(63)]
     # t can never be derived, so it takes no bit
     dead = Rule([lit("t")], [NafLiteral(lit("u"), False)])
-    assert len(encode(Program(facts[:62] + [dead])).layout) == 62
-    with pytest.raises(AbdukitError, match=r"\b63\b.*\b62\b"):
-        encode(Program(facts + [dead]))
+    p = Program(facts + [dead])
+    assert len(encode(p).layout) == 63
+    result = answer_sets(p, RunConfig(max_universe=70))
+    assert result.sets == (Interpretation(frozenset(lit("p%d" % i) for i in range(63))),)
 
 
 def planted_program(rng: random.Random) -> Program:

@@ -8,18 +8,28 @@ import random
 import pytest
 
 from abdukit import core, solver, updates
+from abdukit.abduction import (
+    CREDULOUS,
+    AbductiveProgram,
+    Observation,
+    brute_force_explanations,
+    build_update_program,
+)
 from abdukit.config import RunConfig
 from abdukit.core import (
     Atom,
     Literal,
+    LiteralUniverse,
     Program,
     canonical_form,
     const,
+    fact,
     program_diff,
     program_union,
 )
 from abdukit.parser import parse, parse_rule
 from abdukit.solver import answer_sets, consistent, entails
+from abdukit.solver.encode import encode
 from abdukit.updates import (
     ALL_RULES,
     FACT_UNIVERSE,
@@ -466,6 +476,21 @@ def test_repair_all_rules_drops_the_constraint():
     sols = remove_inconsistency(p, ALL_RULES)
     assert deltas(sols) == expect(([], [":- not p."]))
     assert sols[0].updated_program == parse("-p.").program
+
+
+def test_repair_fact_universe_searches_a_wide_update_program():
+    p = parse(
+        "a0.  a2 :- a3, not a1, not -a1.  -a0 :- not a1.  -a1 ; -a3 :- a1."
+        "  -a2 :- not a2, not -a3."
+    ).program
+    cfg = RunConfig(max_universe=30)
+    ap = AbductiveProgram(p, Program(fact(l) for l in LiteralUniverse.from_program(p)))
+    # generate and test would visit 2^29 candidates here
+    assert bin(encode(build_update_program(ap, cfg).rules).free_mask).count("1") == 29
+    sols = remove_inconsistency(p, FACT_UNIVERSE, cfg)
+    assert deltas(sols) == expect(([], ["a0."]), (["a1."], []))
+    oracle = brute_force_explanations(ap, Observation.bot(), CREDULOUS, True, cfg)
+    assert tuple(s.delta for s in sols) == oracle
 
 
 def test_repair_of_consistent_program_changes_nothing():
