@@ -1,0 +1,162 @@
+"""Print the engine's answers on a seeded corpus, one line per answer.
+
+Usage: python3 benchmarks/dump_engine.py --instances N --seed S
+
+The script imports abdukit from the ``src/`` of its own checkout, so two
+checkouts can be compared with one command:
+
+    diff <(python3 A/benchmarks/dump_engine.py --instances 300 --seed 7) \\
+         <(python3 B/benchmarks/dump_engine.py --instances 300 --seed 7)
+
+Per instance it prints:
+
+  abduce   explanations / anti_explanations of a corpus abductive program
+           for every encoding x kind (positive, negative, bot) x mode x
+           minimal setting;
+  solve    answer_sets of a corpus program, then its consistent read and
+           the entails and credulous_holds reads of every literal it holds,
+           their complements and one absent literal;
+  update   view_insert, view_delete, maintain_integrity, theory_update,
+           insert_rule, delete_rule and remove_inconsistency (both scopes)
+           on a corpus program.
+
+An error prints as its class name and message, so budgets and rejected
+inputs are compared too.  The output is the same under every
+PYTHONHASHSEED.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from corpus import random_abduction_instance, random_ground_program
+
+from abdukit import updates
+from abdukit.abduction import (
+    BOT,
+    CREDULOUS,
+    NEGATIVE,
+    POSITIVE,
+    SKEPTICAL,
+    AbductiveProgram,
+    Observation,
+    anti_explanations,
+    explanations,
+)
+from abdukit.config import RunConfig
+from abdukit.core import AbdukitError, Atom, Literal, Program, fact
+from abdukit.solver import answer_sets, consistent, credulous_holds, entails
+
+ENCODINGS = ("naf-pair", "disjunctive-fact")
+ABSENT = Literal(Atom("absent"))
+
+
+def _show(thunk) -> str:
+    try:
+        return thunk()
+    except (AbdukitError, ValueError) as e:
+        return "error %s: %s" % (type(e).__name__, e)
+
+
+def _explained(exps) -> str:
+    return " | ".join("%s%s" % (e, " [min]" if e.minimal else "") for e in exps) or "(none)"
+
+
+def _rules(p: Program) -> str:
+    return " ".join(str(r) for r in p.sorted_rules())
+
+
+def _solutions(sols) -> str:
+    return " | ".join("%s => %s" % (s.delta, _rules(s.updated_program)) for s in sols) or "(none)"
+
+
+def abduce_lines(i: int, rng: random.Random):
+    program, abducible_literals, goal = random_abduction_instance(rng)
+    ap = AbductiveProgram(program, [fact(l) for l in abducible_literals])
+    observations = [
+        (POSITIVE, Observation.positive(goal), explanations),
+        (NEGATIVE, Observation.negative(goal), anti_explanations),
+        (BOT, Observation.bot(), anti_explanations),
+    ]
+    for encoding in ENCODINGS:
+        cfg = RunConfig(max_universe=30, encoding=encoding)
+        for kind, obs, solve in observations:
+            # bot has no skeptical mode
+            for mode in (CREDULOUS,) if kind == BOT else (CREDULOUS, SKEPTICAL):
+                for minimal in (True, False):
+                    shown = _show(lambda: _explained(solve(ap, obs, mode, minimal, cfg)))
+                    yield "abduce %d %s %s %s %s minimal=%s: %s" % (
+                        i, encoding, kind, obs, mode, minimal, shown
+                    )
+
+
+def solve_lines(i: int, rng: random.Random):
+    p = random_ground_program(rng)
+    cfg = RunConfig(max_universe=30)
+    yield "solve %d answer_sets: %s" % (i, _show(lambda: str(answer_sets(p, cfg)).replace("\n", " ")))
+    yield "solve %d consistent: %s" % (i, _show(lambda: str(consistent(p, cfg))))
+    literals = set(p.literals())
+    literals |= {l.complement() for l in literals}
+    literals.add(ABSENT)
+    for lit in sorted(literals, key=Literal.key):
+        shown = _show(lambda: "entails=%s credulous=%s" % (
+            entails(p, lit, cfg), credulous_holds(p, lit, cfg)
+        ))
+        yield "solve %d %s: %s" % (i, lit, shown)
+
+
+def update_lines(i: int, rng: random.Random):
+    p = random_ground_program(rng, max_atoms=4, max_rules=5)
+    # update programs that are not head-cycle-free go to generate and test,
+    # which takes minutes on some fact-universe repairs above this cap
+    cfg = RunConfig(max_universe=24)
+    rules = list(p.sorted_rules())
+    facts = [r for r in rules if r.is_fact]
+    v = Program(rng.sample(facts, min(2, len(facts))))
+    fixed = Program(p.rules - v.rules)
+    abducible = {l for r in v.rules for l in r.head}
+    goal = rng.choice(sorted(p.literals() - abducible, key=Literal.key) or [ABSENT])
+    q = random_ground_program(rng, max_atoms=4, max_rules=2)
+    new_rule = next((r for r in q.sorted_rules() if r not in p), None)
+    old_rule = rng.choice(rules)
+    ops = [
+        ("view_insert", lambda: updates.view_insert(fixed, v, goal, cfg)),
+        ("view_delete", lambda: updates.view_delete(fixed, v, goal, cfg)),
+        ("maintain_integrity", lambda: updates.maintain_integrity(fixed, v, cfg)),
+        ("theory_update", lambda: updates.theory_update(p, q, cfg)),
+        ("delete_rule", lambda: updates.delete_rule(p, old_rule, cfg)),
+        ("remove_inconsistency all-rules", lambda: updates.remove_inconsistency(p, updates.ALL_RULES, cfg)),
+        ("remove_inconsistency fact-universe", lambda: updates.remove_inconsistency(p, updates.FACT_UNIVERSE, cfg)),
+    ]
+    if new_rule is not None:
+        ops.append(("insert_rule", lambda: updates.insert_rule(p, new_rule, cfg)))
+    for name, op in ops:
+        yield "update %d %s: %s" % (i, name, _show(lambda: _solutions(op())))
+
+
+def dump(instances: int, seed: int):
+    for i in range(instances):
+        rng = random.Random(seed * 1_000_003 + i)
+        yield from abduce_lines(i, rng)
+        yield from solve_lines(i, rng)
+        yield from update_lines(i, rng)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--instances", type=int, default=100)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    for line in dump(args.instances, args.seed):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,10 +16,12 @@ once, and every observation kind and mode is read off its answer sets:
 grouped by the pair (E, F) their update atoms record, a group holds the
 answer sets of P changed by that pair, so the pair explains G
 credulously when some set of its group contains G and skeptically when
-every one does.  The kept sets whose update-atom projection is minimal
-under set inclusion encode minimal change.  A brute-force oracle and a
-translation to plain introduction-only abduction provide independent
-cross-checks.
+every one does.  The grouping is made once per update program, on the
+solver's masks, and keeps the AND and OR of each group, so each kind and
+mode is one bit test per group; only the pairs kept are decoded.  The
+kept pairs whose update-atom projection is minimal under set inclusion
+encode minimal change.  A brute-force oracle and a translation to plain
+introduction-only abduction provide independent cross-checks.
 """
 
 from __future__ import annotations
@@ -141,12 +143,16 @@ class AbductiveProgram:
 
     def fact_patterns(self) -> tuple[Literal, ...]:
         """Head literals of the single-head abducible facts."""
-        out = []
-        for r in self.abducibles:
-            if r.is_fact and len(r.head) == 1:
-                (lit,) = r.head
-                out.append(lit)
-        return tuple(sorted(out, key=Literal.key))
+        cached = self.__dict__.get("_fact_patterns")
+        if cached is None:
+            out = []
+            for r in self.abducibles:
+                if r.is_fact and len(r.head) == 1:
+                    (lit,) = r.head
+                    out.append(lit)
+            cached = tuple(sorted(out, key=Literal.key))
+            object.__setattr__(self, "_fact_patterns", cached)
+        return cached
 
     def satisfies_assumptions(self) -> bool:
         """Whether no abducible occurs in the head of a non-hypothesis rule
@@ -250,7 +256,7 @@ class UpdateProgram:
     def ua_minus(self) -> frozenset[Atom]:
         return frozenset(self.minus_of)
 
-    @property
+    @functools.cached_property
     def update_atoms(self) -> frozenset[Atom]:
         return self.ua_plus | self.ua_minus
 
@@ -580,15 +586,6 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
             )
 
 
-def _change_pair(up: UpdateProgram, s: Interpretation) -> tuple[frozenset, frozenset]:
-    """The pair (E, F) that the update atoms of an answer set record."""
-    atoms = [l.atom for l in s.literals if l.positive]
-    return (
-        frozenset(up.plus_of[a] for a in atoms if a in up.plus_of),
-        frozenset(up.minus_of[a] for a in atoms if a in up.minus_of),
-    )
-
-
 def _resolve(up: UpdateProgram, lit: Literal) -> Rule:
     if up.name_map.is_name(lit.atom.predicate):
         rule = up.name_map.rule_for(lit.atom)
@@ -616,25 +613,35 @@ def _finish(
     The update program is solved once, with nothing added for the
     observation.  Its consistent answer sets that record a pair (E, F)
     are, apart from internal atoms, the consistent answer sets of P with
-    F removed and E added.  So a pair is kept when its group of sets
-    meets the observation in the given mode, the same test the oracle
-    applies to each changed program.  Minimal pairs are those of the
-    U-minimal sets among the kept ones.
+    F removed and E added.  Grouped once by their update-atom bits, with
+    the AND and OR of each group, every kind and mode is one bit test per
+    group: G in some set of the group (credulous) or in every one
+    (skeptical), G missing from some set or from every one, and bot keeps
+    every group.  This is the test the oracle applies to each changed
+    program.  Minimal pairs are those of the U-minimal projections among
+    the kept groups; only kept groups are decoded.
     """
-    groups: dict[tuple, list[Interpretation]] = {}
-    for s in answer_sets(up.rules, up.config).consistent_sets:
-        groups.setdefault(_change_pair(up, s), []).append(s)
-    kept = AnswerSetResult(
-        tuple(
-            s
-            for group in groups.values()
-            if _condition_holds(AnswerSetResult(tuple(group)), obs, mode)
-            for s in group
-        )
-    )
+    masks = answer_sets(up.rules, up.config).masks
+    groups = masks.groups(up.update_atoms)
+    if obs.kind == BOT:
+        kept = [key for key, _, _ in groups]
+    else:
+        g = masks.bit(obs.literal)
+        skeptical = mode == SKEPTICAL
+        if obs.kind == POSITIVE:
+            kept = [key for key, every, some in groups if (every if skeptical else some) & g]
+        else:
+            kept = [key for key, every, some in groups if not (some if skeptical else every) & g]
+    projections = AnswerSetResult(Interpretation(masks.decode(key)) for key in kept)
     if minimal:
-        kept = u_minimal_filter(kept, up.update_atoms)
-    pairs = list(dict.fromkeys(_change_pair(up, s) for s in kept.sets))
+        projections = u_minimal_filter(projections, up.update_atoms)
+    pairs = [
+        (
+            frozenset(up.plus_of[l.atom] for l in s.literals if l.atom in up.plus_of),
+            frozenset(up.minus_of[l.atom] for l in s.literals if l.atom in up.minus_of),
+        )
+        for s in projections.sets
+    ]
     out = [
         Explanation(
             add=[_resolve(up, l) for l in e],

@@ -400,13 +400,16 @@ class Program:
         Builtin operands do not count: they are comparison guards, not
         Herbrand domain elements.
         """
-        out: set[Term] = set()
-        for r in self.rules:
-            for lit in r.literals():
+        cached = self.__dict__.get("_constants")
+        if cached is None:
+            out: set[Term] = set()
+            for lit in self.literals():
                 for t in lit.atom.args:
                     if t.is_ground:
                         out.add(t)
-        return frozenset(out)
+            cached = frozenset(out)
+            object.__setattr__(self, "_constants", cached)
+        return cached
 
     def predicates(self) -> frozenset[tuple[str, int]]:
         return frozenset((l.atom.predicate, l.atom.arity) for l in self.literals())

@@ -6,6 +6,14 @@ least-model search when it is head-cycle-free, by generate and test
 otherwise.  The contradictory set L_P is modeled explicitly: it is an
 answer set exactly when the program's NAF-free part has no integrity
 constraint and no consistent set satisfies it.
+
+answer_sets keeps the kernel's answer as masks (AnswerMasks): the
+layout, the consistent masks, the L_P flag and the AND and OR of the
+masks.  Its 64-entry cache holds these, and a result decodes its
+Interpretations only when its sets are first read.  consistent, entails
+and credulous_holds are bit tests on the AND and OR masks, and the
+abduction engine reads every observation mode off one grouping of the
+masks, memoized in the same entry.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..config import DEFAULT_CONFIG, RunConfig
 from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
@@ -29,10 +38,6 @@ class NonGroundRule(AbdukitError):
 
 class CandidateBudgetExceeded(AbdukitError):
     """The ground literal universe is larger than the configured cap."""
-
-
-class NotNLP(AbdukitError):
-    """The program is not a normal logic program."""
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,111 @@ class Interpretation:
 CONTRADICTORY = Interpretation(marker=True)
 
 
-@dataclass(frozen=True)
+class AnswerMasks:
+    """The consistent answer sets of one ground program as the kernel's
+    masks over layout, in the kernel's order, with their AND (every, all
+    bits set when there is none) and OR (some), and whether L_P is an
+    answer set too."""
+
+    def __init__(self, layout: tuple[Literal, ...], masks: tuple[int, ...], contradictory: bool):
+        self.layout = layout
+        self.masks = masks
+        self.contradictory = contradictory
+        every, some = -1, 0
+        for m in masks:
+            every &= m
+            some |= m
+        self.every = every
+        self.some = some
+        self._bits: dict[Literal, int] | None = None
+        self._grouping: tuple[frozenset, tuple[tuple[int, int, int], ...]] | None = None
+
+    def bit(self, literal: Literal) -> int:
+        """literal's bit, or 0 when no consistent answer set can hold it."""
+        if self._bits is None:
+            self._bits = {lit: 1 << i for i, lit in enumerate(self.layout)}
+        return self._bits.get(literal, 0)
+
+    def decode(self, mask: int) -> frozenset[Literal]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.layout[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def groups(self, atoms: frozenset) -> tuple[tuple[int, int, int], ...]:
+        """The masks grouped by their bits among the positive literals of
+        atoms: one (key, AND, OR) per group, in order of first appearance.
+        The last grouping asked is kept, so asking again is free."""
+        if self._grouping is not None and self._grouping[0] == atoms:
+            return self._grouping[1]
+        projection = 0
+        for a in atoms:
+            projection |= self.bit(Literal(a))
+        table: dict[int, list[int]] = {}
+        for m in self.masks:
+            key = m & projection
+            group = table.get(key)
+            if group is None:
+                table[key] = [m, m]
+            else:
+                group[0] &= m
+                group[1] |= m
+        grouped = tuple((key, every, some) for key, (every, some) in table.items())
+        self._grouping = (atoms, grouped)
+        return grouped
+
+
 class AnswerSetResult:
-    sets: tuple[Interpretation, ...] = ()
-    contains_contradictory: bool = False
+    """Answer sets, smallest first, L_P last when it is one.
+
+    A result of answer_sets also carries masks, the kernel's view of the
+    same sets, and decodes sets from it when sets is first read; a result
+    built from interpretations has masks None.
+    """
+
+    __slots__ = ("_sets", "contains_contradictory", "masks")
+
+    def __init__(self, sets: Iterable[Interpretation] = (), contains_contradictory: bool = False):
+        object.__setattr__(self, "_sets", tuple(sets))
+        object.__setattr__(self, "contains_contradictory", contains_contradictory)
+        object.__setattr__(self, "masks", None)
+
+    @classmethod
+    def _of(cls, masks: AnswerMasks) -> AnswerSetResult:
+        result = cls.__new__(cls)
+        object.__setattr__(result, "_sets", None)
+        object.__setattr__(result, "contains_contradictory", masks.contradictory)
+        object.__setattr__(result, "masks", masks)
+        return result
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("AnswerSetResult is immutable")
+
+    @property
+    def sets(self) -> tuple[Interpretation, ...]:
+        if self._sets is None:
+            m = self.masks
+            sets = sorted((Interpretation(m.decode(x)) for x in m.masks), key=Interpretation.key)
+            if m.contradictory:
+                sets.append(CONTRADICTORY)
+            object.__setattr__(self, "_sets", tuple(sets))
+        return self._sets
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnswerSetResult):
+            return NotImplemented
+        return (self.sets, self.contains_contradictory) == (other.sets, other.contains_contradictory)
+
+    def __hash__(self) -> int:
+        return hash((self.sets, self.contains_contradictory))
+
+    def __repr__(self) -> str:
+        return "AnswerSetResult(sets=%r, contains_contradictory=%r)" % (
+            self.sets,
+            self.contains_contradictory,
+        )
 
     @property
     def consistent_sets(self) -> tuple[Interpretation, ...]:
@@ -136,15 +242,17 @@ _CACHE: OrderedDict[frozenset[Rule], AnswerSetResult] = OrderedDict()
 def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
     """All answer sets of a ground program, smallest first, marker last."""
     cfg = config or DEFAULT_CONFIG
-    for r in p.rules:
-        _check_solver_rule(r)
+    cached = _CACHE.get(p.rules)
+    if cached is None:
+        # a cached program passed this check when it was solved
+        for r in p.rules:
+            _check_solver_rule(r)
     occurring = p.literals()
     if len(occurring) > cfg.max_universe:
         raise CandidateBudgetExceeded(
             "%d ground literals occur, max_universe is %d"
             % (len(occurring), cfg.max_universe)
         )
-    cached = _CACHE.get(p.rules)
     if cached is not None:
         _CACHE.move_to_end(p.rules)
         return cached
@@ -159,10 +267,15 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
         enc.notfree,
         enc.has_naf_free_constraint,
     )
-    sets = sorted((Interpretation(enc.decode(m)) for m in masks), key=Interpretation.key)
-    if contradictory:
-        sets.append(CONTRADICTORY)
-    result = AnswerSetResult(tuple(sets), contradictory)
+    for m in masks:
+        clash = m & (m >> 1) & enc.conflict_first
+        if clash:
+            i = (clash & -clash).bit_length() - 1
+            raise ValueError(
+                "answer set contains the complementary pair %s / %s"
+                % (enc.layout[i], enc.layout[i + 1])
+            )
+    result = AnswerSetResult._of(AnswerMasks(enc.layout, tuple(masks), contradictory))
     _CACHE[p.rules] = result
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -176,72 +289,28 @@ def _ground_cached(p: Program, cfg: RunConfig) -> Program:
     return ground(p, config=cfg)
 
 
+def _masks(p: Program, config: RunConfig | None) -> AnswerMasks:
+    cfg = config or DEFAULT_CONFIG
+    return answer_sets(_ground_cached(p, cfg), cfg).masks
+
+
 def consistent(p: Program, config: RunConfig | None = None) -> bool:
     """Whether p has a consistent answer set.  Grounds internally."""
-    cfg = config or DEFAULT_CONFIG
-    return answer_sets(_ground_cached(p, cfg), cfg).has_consistent
+    return bool(_masks(p, config).masks)
 
 
 def entails(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
-    """literal belongs to every answer set (vacuously true with none)."""
-    cfg = config or DEFAULT_CONFIG
-    result = answer_sets(_ground_cached(p, cfg), cfg)
-    return all(s.contains(literal) for s in result.sets)
+    """literal belongs to every answer set (vacuously true with none).
+    L_P holds every literal, so only the consistent sets can refute it."""
+    m = _masks(p, config)
+    bit = m.bit(literal)
+    return bool(m.every & bit) if bit else not m.masks
 
 
 def credulous_holds(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
     """literal belongs to some consistent answer set."""
-    cfg = config or DEFAULT_CONFIG
-    result = answer_sets(_ground_cached(p, cfg), cfg)
-    return any(literal in s.literals for s in result.consistent_sets)
-
-
-def is_stratified(p: Program, require_nlp: bool = False) -> bool:
-    """Whether a ground normal program has no recursion through NAF.
-
-    Normal means: singleton positive heads, positive body atoms, no strong
-    negation, no builtins.  Non-NLP input returns False, or raises NotNLP
-    when require_nlp is set.
-    """
-    pos_edges: set[tuple] = set()
-    neg_edges: set[tuple] = set()
-    for r in p.rules:
-        if r.variables():
-            raise NonGroundRule("rule has variables: %s" % r)
-        nlp = (
-            len(r.head) == 1
-            and all(l.positive for l in r.head)
-            and not r.builtins()
-            and all(l.positive for l in r.body_pos() | r.body_naf())
-        )
-        if not nlp:
-            if require_nlp:
-                raise NotNLP("not a normal logic program rule: %s" % r)
-            return False
-        (head,) = r.head
-        for l in r.body_pos():
-            pos_edges.add((head.atom, l.atom))
-        for l in r.body_naf():
-            neg_edges.add((head.atom, l.atom))
-
-    adjacency: dict = {}
-    for u, v in pos_edges | neg_edges:
-        adjacency.setdefault(u, set()).add(v)
-
-    def reaches(src, dst) -> bool:
-        seen = set()
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return False
-
-    return not any(reaches(v, u) for u, v in neg_edges)
+    m = _masks(p, config)
+    return bool(m.some & m.bit(literal))
 
 
 _REFERENCE_LIMIT = 16

@@ -30,13 +30,6 @@ class Encoding:
     notfree: tuple[int, ...]
     has_naf_free_constraint: bool
 
-    def decode(self, mask: int) -> frozenset[Literal]:
-        out = []
-        for i, lit in enumerate(self.layout):
-            if mask >> i & 1:
-                out.append(lit)
-        return frozenset(out)
-
 
 def encode(program: Program) -> Encoding:
     rules = program.sorted_rules()

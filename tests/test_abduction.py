@@ -493,11 +493,24 @@ def test_one_solve_serves_every_mode(monkeypatch):
     monkeypatch.setattr(solver, "encode", lambda p: calls.append(p) or real_encode(p))
     ap = ap_from(CHAIN)
     p, q = Literal(Atom("p")), Literal(Atom("q"))
+    grouped = []
+    real_groups = solver.AnswerMasks.groups
+
+    def groups(self, atoms):
+        grouped.append(real_groups(self, atoms))
+        return grouped[-1]
+
+    monkeypatch.setattr(solver.AnswerMasks, "groups", groups)
     for mode in (CREDULOUS, SKEPTICAL):
         assert explanations(ap, Observation.positive(p), mode)
         assert anti_explanations(ap, Observation.negative(q), mode)
     assert anti_explanations(ap, Observation.bot())
     assert len(calls) == 1
+    # the five modes read one grouping of the masks and decode no answer set
+    assert len(grouped) == 5
+    assert all(g is grouped[0] for g in grouped)
+    (result,) = solver._CACHE.values()
+    assert result._sets is None
 
 
 def test_update_program_is_built_once(monkeypatch):

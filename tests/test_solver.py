@@ -14,12 +14,10 @@ from abdukit.solver import (
     CandidateBudgetExceeded,
     Interpretation,
     NonGroundRule,
-    NotNLP,
     answer_sets,
     consistent,
     credulous_holds,
     entails,
-    is_stratified,
     reduct,
     reference_answer_sets,
     satisfies,
@@ -212,6 +210,43 @@ def test_candidate_budget_edge_survives_the_cache():
         answer_sets(p, RunConfig(max_universe=n - 1))
 
 
+def test_reads_equal_the_decoded_answer_sets(monkeypatch):
+    """consistent, entails and credulous_holds are bit tests on the cached
+    masks; they must say what the decoded answer sets say, for literals
+    that are derivable, underivable, or absent from the program."""
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+    cfg = RunConfig(max_universe=30)
+    rng = random.Random(20261018)
+    only_marker = [prog("p. -p."), prog("p. -p. q :- p. r :- not q."), prog("a ; b. -a. -b. c :- d.")]
+    programs = only_marker + [random_ground_program(rng) for _ in range(1000)]
+    absent = lit("absent")
+    marker_only = 0
+    for p in programs:
+        # the reads first, so no answer set is decoded before them
+        literals = sorted(p.literals() | {l.complement() for l in p.literals()} | {absent}, key=Literal.key)
+        reads = [(consistent(p, cfg), entails(p, l, cfg), credulous_holds(p, l, cfg)) for l in literals]
+        sets = answer_sets(p, cfg).sets
+        marker_only += sets == (CONTRADICTORY,)
+        for l, read in zip(literals, reads):
+            assert read == (
+                any(not s.marker for s in sets),
+                all(s.contains(l) for s in sets),
+                any(not s.marker and l in s.literals for s in sets),
+            ), (str(p), str(l))
+    assert marker_only > len(only_marker)
+
+
+def test_answer_sets_rejects_a_mask_with_a_complementary_pair(monkeypatch):
+    monkeypatch.setattr(solver, "_CACHE", OrderedDict())
+    p = prog("p ; -p. q :- p.")
+    layout = encode(p).layout
+    both = (1 << layout.index(lit("p"))) | (1 << layout.index(lit("p", False)))
+    monkeypatch.setattr(solver._kernel, "enumerate_answer_sets", lambda *args: ([both], False))
+    with pytest.raises(ValueError, match=r"complementary pair p / -p"):
+        answer_sets(p)
+    assert p.rules not in solver._CACHE
+
+
 def test_encode_has_no_bit_ceiling():
     facts = [Rule([lit("p%d" % i)], []) for i in range(63)]
     # t can never be derived, so it takes no bit
@@ -277,21 +312,8 @@ def test_underivable_naf_free_constraint_still_excludes_the_marker(text):
     assert answer_sets(p) == reference_answer_sets(p)
 
 
-def test_is_stratified():
-    assert is_stratified(prog("q :- not p. p :- r."))
-    assert not is_stratified(prog("p :- not q. q :- not p."))
-    # positive recursion is fine
-    assert is_stratified(prog("p :- q. q :- p."))
-    # not an NLP: disjunction, strong negation
-    assert not is_stratified(prog("p ; q."))
-    assert not is_stratified(prog("-p :- q."))
-    with pytest.raises(NotNLP):
-        is_stratified(prog("p ; q."), require_nlp=True)
-
-
 def test_stratified_nlp_single_answer_set():
     p = prog("a. b :- a, not c. d :- not b.")
-    assert is_stratified(p)
     r = answer_sets(p)
     assert len(r.sets) == 1
     assert r.sets[0].literals == frozenset([lit("a"), lit("b")])
