@@ -11,6 +11,8 @@ they do not).  Workloads:
   choice    n independent choice pairs (2^n answer sets)
 
 Usage: python3 benchmarks/bench_kernel.py [--repeat N] [--instances N]
+
+The script imports abdukit from the ``src/`` of its own checkout.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import random_abduction_instance, random_ground_program
 

@@ -13,12 +13,16 @@ Per instance it prints:
   abduce   explanations / anti_explanations of a corpus abductive program
            for every encoding x kind (positive, negative, bot) x mode x
            minimal setting;
+  filter   per encoding, u_minimal_filter on the answer sets of the same
+           program's update program;
   solve    answer_sets of a corpus program, then its consistent read and
            the entails and credulous_holds reads of every literal it holds,
            their complements and one absent literal;
   update   view_insert, view_delete, maintain_integrity, theory_update,
            insert_rule, delete_rule and remove_inconsistency (both scopes)
-           on a corpus program.
+           on a corpus program;
+  multi    delta_maximal_answer_sets of the multi-solution program of the
+           same theory update.
 
 An error prints as its class name and message, so budgets and rejected
 inputs are compared too.  The output is the same under every
@@ -47,7 +51,9 @@ from abdukit.abduction import (
     AbductiveProgram,
     Observation,
     anti_explanations,
+    build_update_program,
     explanations,
+    u_minimal_filter,
 )
 from abdukit.config import RunConfig
 from abdukit.core import AbdukitError, Atom, Literal, Program, fact
@@ -66,6 +72,10 @@ def _show(thunk) -> str:
 
 def _explained(exps) -> str:
     return " | ".join("%s%s" % (e, " [min]" if e.minimal else "") for e in exps) or "(none)"
+
+
+def _sets(result) -> str:
+    return str(result).replace("\n", " ")
 
 
 def _rules(p: Program) -> str:
@@ -95,11 +105,17 @@ def abduce_lines(i: int, rng: random.Random):
                         i, encoding, kind, obs, mode, minimal, shown
                     )
 
+        def u_minimal():
+            up = build_update_program(ap, cfg)
+            return _sets(u_minimal_filter(answer_sets(up.rules, cfg), up.update_atoms))
+
+        yield "filter %d %s: %s" % (i, encoding, _show(u_minimal))
+
 
 def solve_lines(i: int, rng: random.Random):
     p = random_ground_program(rng)
     cfg = RunConfig(max_universe=30)
-    yield "solve %d answer_sets: %s" % (i, _show(lambda: str(answer_sets(p, cfg)).replace("\n", " ")))
+    yield "solve %d answer_sets: %s" % (i, _show(lambda: _sets(answer_sets(p, cfg))))
     yield "solve %d consistent: %s" % (i, _show(lambda: str(consistent(p, cfg))))
     literals = set(p.literals())
     literals |= {l.complement() for l in literals}
@@ -138,6 +154,12 @@ def update_lines(i: int, rng: random.Random):
         ops.append(("insert_rule", lambda: updates.insert_rule(p, new_rule, cfg)))
     for name, op in ops:
         yield "update %d %s: %s" % (i, name, _show(lambda: _solutions(op())))
+
+    def multi():
+        m = updates.multi_solution_program(p, q, cfg)
+        return _sets(updates.delta_maximal_answer_sets(m, cfg))
+
+    yield "multi %d: %s" % (i, _show(multi))
 
 
 def dump(instances: int, seed: int):

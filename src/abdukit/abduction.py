@@ -18,17 +18,19 @@ answer sets of P changed by that pair, so the pair explains G
 credulously when some set of its group contains G and skeptically when
 every one does.  The grouping is made once per update program, on the
 solver's masks, and keeps the AND and OR of each group, so each kind and
-mode is one bit test per group; only the pairs kept are decoded.  The
-kept pairs whose update-atom projection is minimal under set inclusion
-encode minimal change.  A brute-force oracle and a translation to plain
-introduction-only abduction provide independent cross-checks.
+mode is one bit test per group.  A group's key, its update-atom bits,
+stays an integer until it is returned: minimal change is the keys no
+other kept key is a strict subset of, decided by one dominance filter
+on integers, and only the pairs returned are decoded, each update atom
+through one table to its source rule.  A brute-force oracle and a
+translation to plain introduction-only abduction provide independent
+cross-checks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -49,7 +51,7 @@ from .core import (
     ground,
     var,
 )
-from .solver import AnswerSetResult, Interpretation, answer_sets
+from .solver import AnswerSetResult, answer_sets
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -233,15 +235,14 @@ class NameMap:
 class UpdateProgram:
     """The transformed program whose answer sets encode change pairs.
 
-    plus_of and minus_of map each update atom to the abducible literal
-    whose addition or removal it records.  name_map and renames lead
-    internal abducibles back to source rules, and config is the run
-    configuration the program was built under and is solved under.
+    changes maps each update atom to whether it records an addition and
+    to the source rule added or removed, resolved through name_map and
+    renames.  config is the run configuration the program was built
+    under and is solved under.
     """
 
     rules: Program
-    plus_of: Mapping[Atom, Literal] = field(hash=False)
-    minus_of: Mapping[Atom, Literal] = field(hash=False)
+    changes: Mapping[Atom, tuple[bool, Rule]] = field(hash=False)
     shadows: frozenset[Atom]
     name_map: NameMap
     source: AbductiveProgram
@@ -250,15 +251,15 @@ class UpdateProgram:
 
     @property
     def ua_plus(self) -> frozenset[Atom]:
-        return frozenset(self.plus_of)
+        return frozenset(a for a, (added, _) in self.changes.items() if added)
 
     @property
     def ua_minus(self) -> frozenset[Atom]:
-        return frozenset(self.minus_of)
+        return frozenset(a for a, (added, _) in self.changes.items() if not added)
 
     @functools.cached_property
     def update_atoms(self) -> frozenset[Atom]:
-        return self.ua_plus | self.ua_minus
+        return frozenset(self.changes)
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +522,17 @@ def _prepare_cached(
         for r in gp
         if not (r.is_fact and len(r.head) == 1 and next(iter(r.head)) in abducible)
     ]
-    plus_of: dict[Atom, Literal] = {}
-    minus_of: dict[Atom, Literal] = {}
+    changes: dict[Atom, tuple[bool, Rule]] = {}
     shadows: set[Atom] = set()
     for a in sorted(abducible, key=Literal.key):
         shadow = _internal_literal(_SHADOW, a)
         shadows.add(shadow.atom)
         rules += _choice_rules(a, shadow, cfg)
-        if fact(a) in gp:
-            minus = _internal_literal(_MINUS, a)
-            minus_of[minus.atom] = a
-            rules.append(Rule([minus], [NafLiteral(a, True)]))
-        else:
-            plus = _internal_literal(_PLUS, a)
-            plus_of[plus.atom] = a
-            rules.append(Rule([plus], [NafLiteral(a, False)]))
-    return UpdateProgram(
-        Program(rules), plus_of, minus_of, frozenset(shadows), name_map, ap, renames, cfg
-    )
+        added = fact(a) not in gp
+        update = _internal_literal(_PLUS if added else _MINUS, a)
+        changes[update.atom] = (added, _resolve(name_map, renames, a))
+        rules.append(Rule([update], [NafLiteral(a, not added)]))
+    return UpdateProgram(Program(rules), changes, frozenset(shadows), name_map, ap, renames, cfg)
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
@@ -548,24 +542,35 @@ def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) 
     return _prepare_cached(ap, frozenset(), config or DEFAULT_CONFIG)
 
 
-def _undominated(projections: list[frozenset], maximal: bool = False) -> list[bool]:
-    """For each projection, whether no other one is a strict subset of it
-    (a strict superset when maximal)."""
-    dominates = operator.gt if maximal else operator.lt
-    return [not any(dominates(other, mine) for other in projections) for mine in projections]
+def _undominated(keys: list[int], maximal: bool = False) -> list[bool]:
+    """For each key, a bit set, whether no other key is a strict subset of
+    it (a strict superset when maximal).  A strict subset is a smaller
+    integer, so the distinct keys are walked upward, each tested against
+    the minimal keys found so far; maximal complements them first."""
+    if maximal:
+        union = 0
+        for k in keys:
+            union |= k
+        keys = [union ^ k for k in keys]
+    minimal: list[int] = []
+    for k in sorted(set(keys)):
+        for m in minimal:
+            if m & k == m:
+                break
+        else:
+            minimal.append(k)
+    kept = set(minimal)
+    return [k in kept for k in keys]
 
 
 def _undominated_sets(
     result: AnswerSetResult, atoms: Iterable[Atom], maximal: bool = False
 ) -> AnswerSetResult:
     """The consistent answer sets whose projection on atoms is undominated."""
-    atoms = frozenset(atoms)
-    sets = result.consistent_sets
-    flags = _undominated(
-        [frozenset(l for l in s.literals if l.positive and l.atom in atoms) for s in sets],
-        maximal,
-    )
-    return AnswerSetResult(tuple(s for s, keep in zip(sets, flags) if keep), False)
+    masks = result.masks
+    projection = masks.projection(atoms)
+    flags = _undominated([m & projection for m in masks.masks], maximal)
+    return AnswerSetResult(masks.select(tuple(m for m, keep in zip(masks.masks, flags) if keep)))
 
 
 def u_minimal_filter(result: AnswerSetResult, ua: Iterable[Atom]) -> AnswerSetResult:
@@ -586,23 +591,18 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
             )
 
 
-def _resolve(up: UpdateProgram, lit: Literal) -> Rule:
-    if up.name_map.is_name(lit.atom.predicate):
-        rule = up.name_map.rule_for(lit.atom)
+def _resolve(
+    name_map: NameMap, renames: tuple[tuple[Literal, Literal], ...], lit: Literal
+) -> Rule:
+    if name_map.is_name(lit.atom.predicate):
+        rule = name_map.rule_for(lit.atom)
         if rule is not None:
             return rule
-    for fresh, source in up.renames:
+    for fresh, source in renames:
         binding = _match(fresh, lit)
         if binding is not None:
             return fact(source.substitute(binding))
     return fact(lit)
-
-
-def _componentwise_flags(pairs) -> list[bool]:
-    """For each pair (E, F), whether no other pair is included in it
-    componentwise.  E and F draw from disjoint sets, so that is inclusion
-    of the unions."""
-    return _undominated([e | f for e, f in pairs])
 
 
 def _finish(
@@ -618,8 +618,9 @@ def _finish(
     group: G in some set of the group (credulous) or in every one
     (skeptical), G missing from some set or from every one, and bot keeps
     every group.  This is the test the oracle applies to each changed
-    program.  Minimal pairs are those of the U-minimal projections among
-    the kept groups; only kept groups are decoded.
+    program.  The kept keys pass through u_minimal_filter once: its
+    survivors are the minimal pairs, and only the pairs returned are
+    decoded.
     """
     masks = answer_sets(up.rules, up.config).masks
     groups = masks.groups(up.update_atoms)
@@ -632,26 +633,14 @@ def _finish(
             kept = [key for key, every, some in groups if (every if skeptical else some) & g]
         else:
             kept = [key for key, every, some in groups if not (some if skeptical else every) & g]
-    projections = AnswerSetResult(Interpretation(masks.decode(key)) for key in kept)
-    if minimal:
-        projections = u_minimal_filter(projections, up.update_atoms)
-    pairs = [
-        (
-            frozenset(up.plus_of[l.atom] for l in s.literals if l.atom in up.plus_of),
-            frozenset(up.minus_of[l.atom] for l in s.literals if l.atom in up.minus_of),
-        )
-        for s in projections.sets
-    ]
-    out = [
-        Explanation(
-            add=[_resolve(up, l) for l in e],
-            remove=[_resolve(up, l) for l in f],
-            mode=mode,
-            minimal=flag,
-        )
-        for (e, f), flag in zip(pairs, _componentwise_flags(pairs))
-        if flag or not minimal
-    ]
+    candidates = AnswerSetResult(masks.select(tuple(kept)))
+    survivors = frozenset(u_minimal_filter(candidates, up.update_atoms).masks.masks)
+    out = []
+    for key in survivors if minimal else kept:
+        changes = [up.changes[lit.atom] for lit in masks.decode(key)]
+        add = [rule for added, rule in changes if added]
+        remove = [rule for added, rule in changes if not added]
+        out.append(Explanation(add, remove, mode, key in survivors))
     return tuple(sorted(out, key=Explanation.sort_key))
 
 
@@ -812,6 +801,7 @@ def brute_force_explanations(
         )
     in_p = [r for r in insts if r in gp]
     out_p = [r for r in insts if r not in gp]
+    bit = {r: 1 << i for i, r in enumerate(insts)}
     base = gp.rules
     pairs = []
     for k_add in range(len(out_p) + 1):
@@ -821,7 +811,8 @@ def brute_force_explanations(
                     candidate = Program((base - frozenset(f)) | frozenset(e))
                     if _condition_holds(answer_sets(candidate, cfg), obs, mode):
                         pairs.append((frozenset(e), frozenset(f)))
-    flags = _componentwise_flags(pairs)
+    # E and F are disjoint, so pairs are included componentwise as their unions are
+    flags = _undominated([sum(bit[r] for r in e | f) for e, f in pairs])
     if minimal:
         pairs = [p for p, flag in zip(pairs, flags) if flag]
         flags = [True] * len(pairs)

@@ -7,13 +7,13 @@ otherwise.  The contradictory set L_P is modeled explicitly: it is an
 answer set exactly when the program's NAF-free part has no integrity
 constraint and no consistent set satisfies it.
 
-answer_sets keeps the kernel's answer as masks (AnswerMasks): the
-layout, the consistent masks, the L_P flag and the AND and OR of the
-masks.  Its 64-entry cache holds these, and a result decodes its
-Interpretations only when its sets are first read.  consistent, entails
-and credulous_holds are bit tests on the AND and OR masks, and the
+An AnswerSetResult is masks (AnswerMasks): the layout, the consistent
+masks, the L_P flag and the AND and OR of the masks.  answer_sets'
+64-entry cache holds these, and a result decodes its Interpretations
+only when its sets are first read.  consistent, entails and
+credulous_holds are bit tests on the AND and OR masks, and the
 abduction engine reads every observation mode off one grouping of the
-masks, memoized in the same entry.
+masks, memoized in the same entry, and filters the groups' keys.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..config import DEFAULT_CONFIG, RunConfig
-from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
+from ..core import AbdukitError, Atom, Literal, NafLiteral, Program, Rule, ground
 from . import kernel_py as _kernel
 from .encode import encode
 
@@ -77,10 +77,10 @@ CONTRADICTORY = Interpretation(marker=True)
 
 
 class AnswerMasks:
-    """The consistent answer sets of one ground program as the kernel's
-    masks over layout, in the kernel's order, with their AND (every, all
-    bits set when there is none) and OR (some), and whether L_P is an
-    answer set too."""
+    """The consistent answer sets of one ground program as masks over
+    layout, in the kernel's order, with their AND (every, all bits set
+    when there is none) and OR (some), and whether L_P is an answer set
+    too."""
 
     def __init__(self, layout: tuple[Literal, ...], masks: tuple[int, ...], contradictory: bool):
         self.layout = layout
@@ -109,15 +109,27 @@ class AnswerMasks:
             mask ^= low
         return frozenset(out)
 
+    def select(self, masks: tuple[int, ...]) -> AnswerMasks:
+        """These masks over the same layout, without L_P; the bit table is
+        shared."""
+        out = AnswerMasks(self.layout, masks, False)
+        out._bits = self._bits
+        return out
+
+    def projection(self, atoms: Iterable[Atom]) -> int:
+        """The bits of the positive literals of atoms."""
+        out = 0
+        for a in atoms:
+            out |= self.bit(Literal(a))
+        return out
+
     def groups(self, atoms: frozenset) -> tuple[tuple[int, int, int], ...]:
         """The masks grouped by their bits among the positive literals of
         atoms: one (key, AND, OR) per group, in order of first appearance.
         The last grouping asked is kept, so asking again is free."""
         if self._grouping is not None and self._grouping[0] == atoms:
             return self._grouping[1]
-        projection = 0
-        for a in atoms:
-            projection |= self.bit(Literal(a))
+        projection = self.projection(atoms)
         table: dict[int, list[int]] = {}
         for m in self.masks:
             key = m & projection
@@ -135,28 +147,22 @@ class AnswerMasks:
 class AnswerSetResult:
     """Answer sets, smallest first, L_P last when it is one.
 
-    A result of answer_sets also carries masks, the kernel's view of the
-    same sets, and decodes sets from it when sets is first read; a result
-    built from interpretations has masks None.
+    A result is the masks of its sets, and decodes them into
+    Interpretations when sets is first read.
     """
 
-    __slots__ = ("_sets", "contains_contradictory", "masks")
+    __slots__ = ("_sets", "masks")
 
-    def __init__(self, sets: Iterable[Interpretation] = (), contains_contradictory: bool = False):
-        object.__setattr__(self, "_sets", tuple(sets))
-        object.__setattr__(self, "contains_contradictory", contains_contradictory)
-        object.__setattr__(self, "masks", None)
-
-    @classmethod
-    def _of(cls, masks: AnswerMasks) -> AnswerSetResult:
-        result = cls.__new__(cls)
-        object.__setattr__(result, "_sets", None)
-        object.__setattr__(result, "contains_contradictory", masks.contradictory)
-        object.__setattr__(result, "masks", masks)
-        return result
+    def __init__(self, masks: AnswerMasks):
+        object.__setattr__(self, "_sets", None)
+        object.__setattr__(self, "masks", masks)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("AnswerSetResult is immutable")
+
+    @property
+    def contains_contradictory(self) -> bool:
+        return self.masks.contradictory
 
     @property
     def sets(self) -> tuple[Interpretation, ...]:
@@ -188,7 +194,7 @@ class AnswerSetResult:
 
     @property
     def has_consistent(self) -> bool:
-        return any(not s.marker for s in self.sets)
+        return bool(self.masks.masks)
 
     def __str__(self) -> str:
         if not self.sets:
@@ -275,7 +281,7 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
                 "answer set contains the complementary pair %s / %s"
                 % (enc.layout[i], enc.layout[i + 1])
             )
-    result = AnswerSetResult._of(AnswerMasks(enc.layout, tuple(masks), contradictory))
+    result = AnswerSetResult(AnswerMasks(enc.layout, tuple(masks), contradictory))
     _CACHE[p.rules] = result
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -321,7 +327,8 @@ def reference_answer_sets(p: Program) -> AnswerSetResult:
 
     Enumerates every subset of the occurring literals; no head-zone
     restriction, no forced core, no rule dropping.  Bounded to 16
-    literals.
+    literals.  The result's masks are laid out over the occurring
+    literals in key order.
     """
     occ = sorted(p.literals(), key=Literal.key)
     if len(occ) > _REFERENCE_LIMIT:
@@ -354,7 +361,7 @@ def reference_answer_sets(p: Program) -> AnswerSetResult:
                 return False
         return True
 
-    found: list[Interpretation] = []
+    found: list[int] = []
     for m in range(1 << len(occ)):
         if not consistent_mask(m):
             continue
@@ -372,7 +379,7 @@ def reference_answer_sets(p: Program) -> AnswerSetResult:
                 sub = (sub - 1) & m
         if not minimal:
             continue
-        found.append(Interpretation(frozenset(l for i, l in enumerate(occ) if m >> i & 1)))
+        found.append(m)
 
     # the contradictory set: satisfies the reduct-by-L_P iff the NAF-free
     # part has no constraint; minimal iff that part has no consistent model
@@ -392,7 +399,4 @@ def reference_answer_sets(p: Program) -> AnswerSetResult:
                 exists = True
                 break
         contradictory = not exists
-    sets = sorted(found, key=Interpretation.key)
-    if contradictory:
-        sets.append(CONTRADICTORY)
-    return AnswerSetResult(tuple(sets), contradictory)
+    return AnswerSetResult(AnswerMasks(tuple(occ), tuple(found), contradictory))
