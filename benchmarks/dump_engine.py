@@ -11,10 +11,10 @@ checkouts can be compared with one command:
 Per instance it prints:
 
   abduce   explanations / anti_explanations of a corpus abductive program
-           for every encoding x kind (positive, negative, bot) x mode x
-           minimal setting;
-  filter   per encoding, u_minimal_filter on the answer sets of the same
-           program's update program;
+           for every kind (positive, negative, bot) x mode x minimal
+           setting;
+  filter   u_minimal_filter on the answer sets of the same program's
+           update program;
   solve    answer_sets of a corpus program, then its consistent read and
            the entails and credulous_holds reads of every literal it holds,
            their complements and one absent literal;
@@ -59,7 +59,6 @@ from abdukit.config import RunConfig
 from abdukit.core import AbdukitError, Atom, Literal, Program, fact
 from abdukit.solver import answer_sets, consistent, credulous_holds, entails
 
-ENCODINGS = ("naf-pair", "disjunctive-fact")
 ABSENT = Literal(Atom("absent"))
 
 
@@ -94,22 +93,21 @@ def abduce_lines(i: int, rng: random.Random):
         (NEGATIVE, Observation.negative(goal), anti_explanations),
         (BOT, Observation.bot(), anti_explanations),
     ]
-    for encoding in ENCODINGS:
-        cfg = RunConfig(max_universe=30, encoding=encoding)
-        for kind, obs, solve in observations:
-            # bot has no skeptical mode
-            for mode in (CREDULOUS,) if kind == BOT else (CREDULOUS, SKEPTICAL):
-                for minimal in (True, False):
-                    shown = _show(lambda: _explained(solve(ap, obs, mode, minimal, cfg)))
-                    yield "abduce %d %s %s %s %s minimal=%s: %s" % (
-                        i, encoding, kind, obs, mode, minimal, shown
-                    )
+    cfg = RunConfig(max_universe=30)
+    for kind, obs, solve in observations:
+        # bot has no skeptical mode
+        for mode in (CREDULOUS,) if kind == BOT else (CREDULOUS, SKEPTICAL):
+            for minimal in (True, False):
+                shown = _show(lambda: _explained(solve(ap, obs, mode, minimal, cfg)))
+                yield "abduce %d %s %s %s minimal=%s: %s" % (
+                    i, kind, obs, mode, minimal, shown
+                )
 
-        def u_minimal():
-            up = build_update_program(ap, cfg)
-            return _sets(u_minimal_filter(answer_sets(up.rules, cfg), up.update_atoms))
+    def u_minimal():
+        up = build_update_program(ap, cfg)
+        return _sets(u_minimal_filter(answer_sets(up.rules, cfg), up.update_atoms))
 
-        yield "filter %d %s: %s" % (i, encoding, _show(u_minimal))
+    yield "filter %d: %s" % (i, _show(u_minimal))
 
 
 def solve_lines(i: int, rng: random.Random):

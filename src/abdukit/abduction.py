@@ -213,16 +213,6 @@ class NameMap:
 
     entries: tuple[tuple[Rule, Atom], ...] = ()
 
-    def name_for(self, rule: Rule) -> Atom | None:
-        wanted = canonical_form(rule)
-        for r, atom in self.entries:
-            if r == wanted:
-                return atom
-        return None
-
-    def is_name(self, predicate: str) -> bool:
-        return any(atom.predicate == predicate for _, atom in self.entries)
-
     def rule_for(self, atom: Atom) -> Rule | None:
         for r, pattern in self.entries:
             if pattern.predicate == atom.predicate and len(pattern.args) == len(atom.args):
@@ -236,26 +226,13 @@ class UpdateProgram:
     """The transformed program whose answer sets encode change pairs.
 
     changes maps each update atom to whether it records an addition and
-    to the source rule added or removed, resolved through name_map and
-    renames.  config is the run configuration the program was built
-    under and is solved under.
+    to the source rule added or removed.  config is the run
+    configuration the program was built under and is solved under.
     """
 
     rules: Program
     changes: Mapping[Atom, tuple[bool, Rule]] = field(hash=False)
-    shadows: frozenset[Atom]
-    name_map: NameMap
-    source: AbductiveProgram
-    renames: tuple[tuple[Literal, Literal], ...]
     config: RunConfig
-
-    @property
-    def ua_plus(self) -> frozenset[Atom]:
-        return frozenset(a for a, (added, _) in self.changes.items() if added)
-
-    @property
-    def ua_minus(self) -> frozenset[Atom]:
-        return frozenset(a for a, (added, _) in self.changes.items() if not added)
 
     @functools.cached_property
     def update_atoms(self) -> frozenset[Atom]:
@@ -495,11 +472,13 @@ def _internal_literal(name_format: str, lit: Literal) -> Literal:
     )
 
 
-def _choice_rules(a: Literal, shadow: Literal, config: RunConfig) -> list[Rule]:
-    """Rules choosing exactly one of a and its shadow, in the configured encoding."""
-    if config.encoding == "naf-pair":
-        return [Rule([a], [NafLiteral(shadow, True)]), Rule([shadow], [NafLiteral(a, True)])]
-    return [Rule([a, shadow], ())]
+def _choice_rules(a: Literal) -> list[Rule]:
+    """Rules choosing exactly one of a and its shadow, written as the
+    paper writes them: a <- not shadow and shadow <- not a.  The
+    disjunctive fact a ; shadow. is the same choice, since the kernel
+    shifts head-cycle-free disjunctions into these two rules."""
+    shadow = _internal_literal(_SHADOW, a)
+    return [Rule([a], [NafLiteral(shadow, True)]), Rule([shadow], [NafLiteral(a, True)])]
 
 
 @functools.lru_cache(maxsize=64)
@@ -523,16 +502,13 @@ def _prepare_cached(
         if not (r.is_fact and len(r.head) == 1 and next(iter(r.head)) in abducible)
     ]
     changes: dict[Atom, tuple[bool, Rule]] = {}
-    shadows: set[Atom] = set()
     for a in sorted(abducible, key=Literal.key):
-        shadow = _internal_literal(_SHADOW, a)
-        shadows.add(shadow.atom)
-        rules += _choice_rules(a, shadow, cfg)
+        rules += _choice_rules(a)
         added = fact(a) not in gp
         update = _internal_literal(_PLUS if added else _MINUS, a)
         changes[update.atom] = (added, _resolve(name_map, renames, a))
         rules.append(Rule([update], [NafLiteral(a, not added)]))
-    return UpdateProgram(Program(rules), changes, frozenset(shadows), name_map, ap, renames, cfg)
+    return UpdateProgram(Program(rules), changes, cfg)
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
@@ -594,10 +570,9 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
 def _resolve(
     name_map: NameMap, renames: tuple[tuple[Literal, Literal], ...], lit: Literal
 ) -> Rule:
-    if name_map.is_name(lit.atom.predicate):
-        rule = name_map.rule_for(lit.atom)
-        if rule is not None:
-            return rule
+    rule = name_map.rule_for(lit.atom)
+    if rule is not None:
+        return rule
     for fresh, source in renames:
         binding = _match(fresh, lit)
         if binding is not None:

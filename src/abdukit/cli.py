@@ -83,7 +83,7 @@ def _positive_int(text: str) -> int:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {"encoding": args.encoding}
+    fields: dict[str, int] = {}
     if args.max_universe is not None:
         fields["max_universe"] = args.max_universe
     if args.max_ground_rules is not None:
@@ -285,12 +285,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Extended abduction and program updates for extended disjunctive programs.",
     )
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument(
-        "--encoding",
-        choices=["naf-pair", "disjunctive-fact"],
-        default=DEFAULT_CONFIG.encoding,
-        help="how abducible choices are encoded",
-    )
     top.add_argument(
         "--max-universe",
         type=_positive_int,

@@ -1,4 +1,4 @@
-"""Run-wide limits and switches.
+"""Run-wide limits.
 
 Kept in its own module so core/solver/abduction can import it without
 touching the CLI.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Limits and switches shared by the library and the CLI.
+    """Limits shared by the library and the CLI.
 
     max_ground_rules bounds grounding; max_universe bounds the number of
     distinct ground literals the solver may enumerate over.  The budgets
@@ -21,11 +21,8 @@ class RunConfig:
 
     max_ground_rules: int = 5000
     max_universe: int = 18
-    encoding: str = "naf-pair"  # or "disjunctive-fact"
 
     def __post_init__(self) -> None:
-        if self.encoding not in ("naf-pair", "disjunctive-fact"):
-            raise ValueError("unknown encoding %r" % self.encoding)
         if self.max_ground_rules < 1 or self.max_universe < 1:
             raise ValueError("budgets must be positive")
 

@@ -31,10 +31,8 @@ from .abduction import (
     AbductiveProgram,
     Explanation,
     Observation,
-    _SHADOW,
     _choice_rules,
     _instances,
-    _internal_literal,
     _ordered_vars,
     _undominated_sets,
     anti_explanations,
@@ -331,7 +329,7 @@ def multi_solution_program(
         gamma = Literal(Atom(_GAMMA % i, tuple(var(n) for n in _ordered_vars(r))))
         markers.append(gamma)
         guarded.append(Rule(r.head, set(r.body) | {NafLiteral(gamma, False)}))
-        guarded += _choice_rules(gamma, _internal_literal(_SHADOW, gamma), cfg)
+        guarded += _choice_rules(gamma)
     constants = p.constants() | q.constants()
     pi = ground(Program(guarded), constants, cfg)
     delta_atoms = frozenset(

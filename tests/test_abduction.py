@@ -212,13 +212,14 @@ penguin(tweety).
     }
     assert {str(r) for r in nf.abducibles} == {"__n1(V1).", "__n2(V1)."}
     # the positive rule is in the program, so only its name has a fact
-    flies_rule = parse_rule("flies(X) :- bird(X).")
-    name = names.name_for(flies_rule)
-    assert name is not None and name.predicate == "__n1"
+    assert {str(r): str(a) for r, a in names.entries} == {
+        "flies(V1) :- bird(V1).": "__n1(V1)",
+        "-flies(V1) :- penguin(V1).": "__n2(V1)",
+    }
     # ground name instances decode back to ground rule instances
     back = names.rule_for(Atom("__n1", (const("tweety"),)))
     assert back == parse_rule("flies(tweety) :- bird(tweety).")
-    assert names.is_name("__n2") and not names.is_name("flies")
+    assert names.rule_for(Atom("flies", (const("tweety"),))) is None
 
 
 def test_normal_form_names_disjunctive_facts():
@@ -261,7 +262,7 @@ def test_normal_form_honours_the_callers_grounding_budget():
     facts = "".join("r(c%d, c%d, c%d).\n" % (i, i, i) for i in range(18))
     ap = ap_from(facts + "#abducible q(X, Y, Z) :- r(X, Y, Z).\n")
     up = build_update_program(ap, RunConfig(max_ground_rules=10**6))
-    assert len(up.ua_plus) == 18**3
+    assert sum(added for added, _ in up.changes.values()) == 18**3
     with pytest.raises(GroundingBudgetExceeded):
         build_update_program(ap)
 
@@ -283,10 +284,11 @@ def test_update_program_structure():
         "__del0_a :- not a.",
         "__add0_b :- b.",
     }
-    assert {str(a) for a in up.ua_plus} == {"__add0_b"}
-    assert {str(a) for a in up.ua_minus} == {"__del0_a"}
-    assert {str(a) for a in up.shadows} == {"__not0_a", "__not0_b"}
-    assert up.update_atoms == up.ua_plus | up.ua_minus
+    assert {str(a): (added, str(r)) for a, (added, r) in up.changes.items()} == {
+        "__add0_b": (True, "b."),
+        "__del0_a": (False, "a."),
+    }
+    assert up.update_atoms == frozenset(up.changes)
 
 
 def test_update_program_answer_sets_and_minimality():
@@ -315,16 +317,6 @@ def test_u_minimal_filter_keeps_equal_projections():
     res = answer_sets(up.rules)
     kept = u_minimal_filter(res, up.update_atoms)
     # the empty-change set projects to {}, strictly below {+a}
-    assert len(kept.sets) == 1
-
-
-def test_update_program_disjunctive_fact_encoding():
-    cfg = RunConfig(encoding="disjunctive-fact")
-    ap = ap_from(CHAIN)
-    up = build_update_program(ap, cfg)
-    assert "__not0_a ; a." in {str(r) for r in up.rules}
-    res = answer_sets(up.rules, cfg)
-    kept = u_minimal_filter(res, up.update_atoms)
     assert len(kept.sets) == 1
 
 

@@ -279,15 +279,6 @@ def test_transform_update_program(files, capsys):
     assert "__add0_b :- b." in out
 
 
-def test_transform_respects_encoding_flag(files, capsys):
-    code, out, _ = run(
-        capsys,
-        ["--encoding", "disjunctive-fact", "transform", files["trans"], "update-program"],
-    )
-    assert code == 0
-    assert "__not0_a ; a." in out
-
-
 # ---------------------------------------------------------------------------
 # machine mode
 
@@ -396,6 +387,7 @@ def test_usage_error_exits_2(files, capsys):
         (["explain", files["trans"]], ""),
         (["--max-universe", "0", "answersets", files["trans"]], ""),
         (["--max-ground-rules", "-1", "answersets", files["trans"]], ""),
+        (["--encoding", "naf-pair", "answersets", files["trans"]], ""),
         (["explain", files["trans"], "--obs", "q(X)"], "expected a ground literal, got q(X)\n"),
         (
             ["explain", files["trans"], "--obs", "p(X) :- q(X)"],

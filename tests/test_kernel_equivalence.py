@@ -17,7 +17,7 @@ import pytest
 from abdukit import solver
 from abdukit.abduction import AbductiveProgram, build_update_program
 from abdukit.config import RunConfig
-from abdukit.core import Program, Rule, fact
+from abdukit.core import NafLiteral, Program, Rule, fact
 from abdukit.parser import parse
 from abdukit.solver import CONTRADICTORY, answer_sets, kernel_py, reference_answer_sets
 from abdukit.solver.encode import encode
@@ -132,23 +132,41 @@ def test_random_head_cycles_take_the_fallback(fallback_calls, empty_cache):
         assert len(fallback_calls) == seen
 
 
-def _update_programs(encoding: str, count: int, seed: int) -> list[Program]:
-    cfg = RunConfig(max_universe=30, encoding=encoding)
+def _disjunctive_choices(rules: Program) -> Program:
+    """rules with each choice pair a :- not s. s :- not a. over a shadow
+    atom s written as the disjunctive fact a ; s., as a user program may
+    write a choice."""
+    out = []
+    for r in rules:
+        naf = [b.literal for b in r.body if isinstance(b, NafLiteral) and b.naf]
+        pair = r.head | set(naf)
+        if len(r.head) == len(r.body) == len(naf) == 1 and any(
+            l.atom.predicate.startswith("__not") for l in pair
+        ):
+            r = Rule(pair, ())
+        out.append(r)
+    return Program(out)
+
+
+def _update_programs(count: int, seed: int, disjunctive: bool = False) -> list[Program]:
+    cfg = RunConfig(max_universe=30)
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         program, abducible_literals, _ = random_abduction_instance(rng)
         ap = AbductiveProgram(program, Program([fact(l) for l in abducible_literals]))
         rules = build_update_program(ap, cfg).rules
+        if disjunctive:
+            rules = _disjunctive_choices(rules)
         # generate and test visits 2^free-bits candidates
         if bin(encode(rules).free_mask).count("1") <= 14:
             out.append(rules)
     return out
 
 
-@pytest.mark.parametrize("encoding", ["naf-pair", "disjunctive-fact"])
-def test_kernels_agree_on_update_programs(encoding):
-    for rules in _update_programs(encoding, 150, seed=20261020):
+@pytest.mark.parametrize("disjunctive", [False, True], ids=["naf-pair", "disjunctive-fact"])
+def test_kernels_agree_on_update_programs(disjunctive):
+    for rules in _update_programs(150, seed=20261020, disjunctive=disjunctive):
         enc = encode(rules)
         assert search(enc) == generate_and_test(enc)
 
@@ -156,8 +174,8 @@ def test_kernels_agree_on_update_programs(encoding):
 def test_search_matches_reference(empty_cache):
     rng = random.Random(20261021)
     programs = [random_ground_program(rng) for _ in range(300)]
-    programs += _update_programs("naf-pair", 30, seed=20261022)
-    programs += _update_programs("disjunctive-fact", 30, seed=20261023)
+    programs += _update_programs(30, seed=20261022)
+    programs += _update_programs(30, seed=20261023, disjunctive=True)
     checked = 0
     for p in programs:
         if len(p.literals()) <= 16:

@@ -4,8 +4,8 @@ Three independent routes must agree on every instance: the update-program
 transformation, the brute-force subset oracle, and the translation to
 introduction-only abduction.  Further properties: the update program's
 minimal answer sets with no update atoms mirror the source program's
-answer sets; the two abducible-choice encodings agree; credulous and
-skeptical collapse on stratified normal programs.
+answer sets; credulous and skeptical collapse on stratified normal
+programs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from abdukit.solver import answer_sets
 from corpus import random_abduction_instance, random_stratified_nlp
 
 CFG = RunConfig(max_universe=30)
-CFG_DISJ = RunConfig(max_universe=30, encoding="disjunctive-fact")
 
 MODES = (CREDULOUS, SKEPTICAL)
 FLAGS = (False, True)
@@ -171,18 +170,6 @@ def test_unchanged_update_sets_mirror_original_answer_sets():
             "instance %d: update-program image %r, original %r\n%s"
             % (i, unchanged, original, ap.program)
         )
-
-
-def test_choice_encodings_agree():
-    for i, ap, goal in _instances(500, seed=20260819):
-        for kind, mode, minimal in _combos():
-            obs = _observe(kind, goal)
-            pair_enc = _pairs(_engine(ap, obs, mode, minimal, CFG))
-            disj_enc = _pairs(_engine(ap, obs, mode, minimal, CFG_DISJ))
-            assert pair_enc == disj_enc, (
-                "instance %d %s/%s minimal=%s: naf-pair %r disjunctive-fact %r\n%s"
-                % (i, kind, mode, minimal, pair_enc, disj_enc, ap.program)
-            )
 
 
 def test_skeptical_explanations_are_credulous():
