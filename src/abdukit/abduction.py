@@ -16,9 +16,9 @@ once, and every observation kind and mode is read off its answer sets:
 grouped by the pair (E, F) their update atoms record, a group holds the
 answer sets of P changed by that pair, so the pair explains G
 credulously when some set of its group contains G and skeptically when
-every one does.  The grouping is made once per update program, on the
-solver's masks, and keeps the AND and OR of each group, so each kind and
-mode is one bit test per group.  A group's key, its update-atom bits,
+every one does.  The grouping is made once per update program, memoized
+on it, and keeps the AND and OR of each group, so each kind and mode is
+one bit test per group.  A group's key, its update-atom bits,
 stays an integer until it is returned: minimal change is the keys no
 other kept key is a strict subset of, decided by one dominance filter
 on integers, and only the pairs returned are decoded, each update atom
@@ -237,6 +237,25 @@ class UpdateProgram:
     @functools.cached_property
     def update_atoms(self) -> frozenset[Atom]:
         return frozenset(self.changes)
+
+    @functools.cached_property
+    def _groups(self) -> tuple[AnswerSetResult, tuple[tuple[int, int, int], ...]]:
+        """The program's answer sets, and their masks grouped by their
+        update-atom bits: one (key, AND, OR) per group, in order of first
+        appearance.  Solved on first use, so a program too wide to solve
+        can still be built and printed."""
+        result = answer_sets(self.rules, self.config)
+        projection = _projection(result, self.update_atoms)
+        table: dict[int, list[int]] = {}
+        for m in result.masks:
+            key = m & projection
+            group = table.get(key)
+            if group is None:
+                table[key] = [m, m]
+            else:
+                group[0] &= m
+                group[1] |= m
+        return result, tuple((key, every, some) for key, (every, some) in table.items())
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +558,21 @@ def _undominated(keys: list[int], maximal: bool = False) -> list[bool]:
     return [k in kept for k in keys]
 
 
+def _projection(result: AnswerSetResult, atoms: Iterable[Atom]) -> int:
+    """The bits of the positive literals of atoms in result's layout."""
+    out = 0
+    for a in atoms:
+        out |= result.bit(Literal(a))
+    return out
+
+
 def _undominated_sets(
     result: AnswerSetResult, atoms: Iterable[Atom], maximal: bool = False
 ) -> AnswerSetResult:
     """The consistent answer sets whose projection on atoms is undominated."""
-    masks = result.masks
-    projection = masks.projection(atoms)
-    flags = _undominated([m & projection for m in masks.masks], maximal)
-    return AnswerSetResult(masks.select(tuple(m for m, keep in zip(masks.masks, flags) if keep)))
+    projection = _projection(result, atoms)
+    flags = _undominated([m & projection for m in result.masks], maximal)
+    return result.select(tuple(m for m, keep in zip(result.masks, flags) if keep))
 
 
 def u_minimal_filter(result: AnswerSetResult, ua: Iterable[Atom]) -> AnswerSetResult:
@@ -597,22 +623,21 @@ def _finish(
     survivors are the minimal pairs, and only the pairs returned are
     decoded.
     """
-    masks = answer_sets(up.rules, up.config).masks
-    groups = masks.groups(up.update_atoms)
+    result, groups = up._groups
     if obs.kind == BOT:
         kept = [key for key, _, _ in groups]
     else:
-        g = masks.bit(obs.literal)
+        g = result.bit(obs.literal)
         skeptical = mode == SKEPTICAL
         if obs.kind == POSITIVE:
             kept = [key for key, every, some in groups if (every if skeptical else some) & g]
         else:
             kept = [key for key, every, some in groups if not (some if skeptical else every) & g]
-    candidates = AnswerSetResult(masks.select(tuple(kept)))
-    survivors = frozenset(u_minimal_filter(candidates, up.update_atoms).masks.masks)
+    candidates = result.select(tuple(kept))
+    survivors = frozenset(u_minimal_filter(candidates, up.update_atoms).masks)
     out = []
     for key in survivors if minimal else kept:
-        changes = [up.changes[lit.atom] for lit in masks.decode(key)]
+        changes = [up.changes[lit.atom] for lit in result.decode(key)]
         add = [rule for added, rule in changes if added]
         remove = [rule for added, rule in changes if not added]
         out.append(Explanation(add, remove, mode, key in survivors))

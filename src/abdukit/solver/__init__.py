@@ -7,13 +7,11 @@ otherwise.  The contradictory set L_P is modeled explicitly: it is an
 answer set exactly when the program's NAF-free part has no integrity
 constraint and no consistent set satisfies it.
 
-An AnswerSetResult is masks (AnswerMasks): the layout, the consistent
-masks, the L_P flag and the AND and OR of the masks.  answer_sets'
-64-entry cache holds these, and a result decodes its Interpretations
-only when its sets are first read.  consistent, entails and
-credulous_holds are bit tests on the AND and OR masks, and the
-abduction engine reads every observation mode off one grouping of the
-masks, memoized in the same entry, and filters the groups' keys.
+An AnswerSetResult is the layout, the consistent masks, the L_P flag
+and the AND and OR of the masks.  answer_sets' 64-entry cache holds
+these, and a result decodes its Interpretations only when its sets are
+first read.  consistent, entails and credulous_holds are bit tests on
+the AND and OR masks.
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..config import DEFAULT_CONFIG, RunConfig
-from ..core import AbdukitError, Atom, Literal, NafLiteral, Program, Rule, ground
+from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
 from . import kernel_py as _kernel
 from .encode import encode
 
@@ -76,29 +73,38 @@ class Interpretation:
 CONTRADICTORY = Interpretation(marker=True)
 
 
-class AnswerMasks:
-    """The consistent answer sets of one ground program as masks over
-    layout, in the kernel's order, with their AND (every, all bits set
-    when there is none) and OR (some), and whether L_P is an answer set
-    too."""
+class AnswerSetResult:
+    """Answer sets, smallest first, L_P last when it is one.
+
+    The consistent sets are masks over layout, in the kernel's order,
+    with their AND (every; all bits set when there is none) and OR
+    (some).  sets decodes them into Interpretations when first read.
+    """
+
+    __slots__ = ("layout", "masks", "contains_contradictory", "every", "some", "_bits", "_sets")
 
     def __init__(self, layout: tuple[Literal, ...], masks: tuple[int, ...], contradictory: bool):
-        self.layout = layout
-        self.masks = masks
-        self.contradictory = contradictory
         every, some = -1, 0
         for m in masks:
             every &= m
             some |= m
-        self.every = every
-        self.some = some
-        self._bits: dict[Literal, int] | None = None
-        self._grouping: tuple[frozenset, tuple[tuple[int, int, int], ...]] | None = None
+        init = object.__setattr__
+        init(self, "layout", layout)
+        init(self, "masks", masks)
+        init(self, "contains_contradictory", contradictory)
+        init(self, "every", every)
+        init(self, "some", some)
+        init(self, "_bits", None)
+        init(self, "_sets", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("AnswerSetResult is immutable")
 
     def bit(self, literal: Literal) -> int:
         """literal's bit, or 0 when no consistent answer set can hold it."""
         if self._bits is None:
-            self._bits = {lit: 1 << i for i, lit in enumerate(self.layout)}
+            bits = {lit: 1 << i for i, lit in enumerate(self.layout)}
+            object.__setattr__(self, "_bits", bits)
         return self._bits.get(literal, 0)
 
     def decode(self, mask: int) -> frozenset[Literal]:
@@ -109,67 +115,19 @@ class AnswerMasks:
             mask ^= low
         return frozenset(out)
 
-    def select(self, masks: tuple[int, ...]) -> AnswerMasks:
+    def select(self, masks: tuple[int, ...]) -> AnswerSetResult:
         """These masks over the same layout, without L_P; the bit table is
         shared."""
-        out = AnswerMasks(self.layout, masks, False)
-        out._bits = self._bits
+        out = AnswerSetResult(self.layout, masks, False)
+        object.__setattr__(out, "_bits", self._bits)
         return out
-
-    def projection(self, atoms: Iterable[Atom]) -> int:
-        """The bits of the positive literals of atoms."""
-        out = 0
-        for a in atoms:
-            out |= self.bit(Literal(a))
-        return out
-
-    def groups(self, atoms: frozenset) -> tuple[tuple[int, int, int], ...]:
-        """The masks grouped by their bits among the positive literals of
-        atoms: one (key, AND, OR) per group, in order of first appearance.
-        The last grouping asked is kept, so asking again is free."""
-        if self._grouping is not None and self._grouping[0] == atoms:
-            return self._grouping[1]
-        projection = self.projection(atoms)
-        table: dict[int, list[int]] = {}
-        for m in self.masks:
-            key = m & projection
-            group = table.get(key)
-            if group is None:
-                table[key] = [m, m]
-            else:
-                group[0] &= m
-                group[1] |= m
-        grouped = tuple((key, every, some) for key, (every, some) in table.items())
-        self._grouping = (atoms, grouped)
-        return grouped
-
-
-class AnswerSetResult:
-    """Answer sets, smallest first, L_P last when it is one.
-
-    A result is the masks of its sets, and decodes them into
-    Interpretations when sets is first read.
-    """
-
-    __slots__ = ("_sets", "masks")
-
-    def __init__(self, masks: AnswerMasks):
-        object.__setattr__(self, "_sets", None)
-        object.__setattr__(self, "masks", masks)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("AnswerSetResult is immutable")
-
-    @property
-    def contains_contradictory(self) -> bool:
-        return self.masks.contradictory
 
     @property
     def sets(self) -> tuple[Interpretation, ...]:
         if self._sets is None:
-            m = self.masks
-            sets = sorted((Interpretation(m.decode(x)) for x in m.masks), key=Interpretation.key)
-            if m.contradictory:
+            sets = [Interpretation(self.decode(m)) for m in self.masks]
+            sets.sort(key=Interpretation.key)
+            if self.contains_contradictory:
                 sets.append(CONTRADICTORY)
             object.__setattr__(self, "_sets", tuple(sets))
         return self._sets
@@ -194,7 +152,7 @@ class AnswerSetResult:
 
     @property
     def has_consistent(self) -> bool:
-        return bool(self.masks.masks)
+        return bool(self.masks)
 
     def __str__(self) -> str:
         if not self.sets:
@@ -281,7 +239,7 @@ def answer_sets(p: Program, config: RunConfig | None = None) -> AnswerSetResult:
                 "answer set contains the complementary pair %s / %s"
                 % (enc.layout[i], enc.layout[i + 1])
             )
-    result = AnswerSetResult(AnswerMasks(enc.layout, tuple(masks), contradictory))
+    result = AnswerSetResult(enc.layout, tuple(masks), contradictory)
     _CACHE[p.rules] = result
     if len(_CACHE) > _CACHE_SIZE:
         _CACHE.popitem(last=False)
@@ -295,28 +253,28 @@ def _ground_cached(p: Program, cfg: RunConfig) -> Program:
     return ground(p, config=cfg)
 
 
-def _masks(p: Program, config: RunConfig | None) -> AnswerMasks:
+def _solved(p: Program, config: RunConfig | None) -> AnswerSetResult:
     cfg = config or DEFAULT_CONFIG
-    return answer_sets(_ground_cached(p, cfg), cfg).masks
+    return answer_sets(_ground_cached(p, cfg), cfg)
 
 
 def consistent(p: Program, config: RunConfig | None = None) -> bool:
     """Whether p has a consistent answer set.  Grounds internally."""
-    return bool(_masks(p, config).masks)
+    return _solved(p, config).has_consistent
 
 
 def entails(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
     """literal belongs to every answer set (vacuously true with none).
     L_P holds every literal, so only the consistent sets can refute it."""
-    m = _masks(p, config)
-    bit = m.bit(literal)
-    return bool(m.every & bit) if bit else not m.masks
+    r = _solved(p, config)
+    bit = r.bit(literal)
+    return bool(r.every & bit) if bit else not r.masks
 
 
 def credulous_holds(p: Program, literal: Literal, config: RunConfig | None = None) -> bool:
     """literal belongs to some consistent answer set."""
-    m = _masks(p, config)
-    return bool(m.some & m.bit(literal))
+    r = _solved(p, config)
+    return bool(r.some & r.bit(literal))
 
 
 _REFERENCE_LIMIT = 16
@@ -399,4 +357,4 @@ def reference_answer_sets(p: Program) -> AnswerSetResult:
                 exists = True
                 break
         contradictory = not exists
-    return AnswerSetResult(AnswerMasks(tuple(occ), tuple(found), contradictory))
+    return AnswerSetResult(tuple(occ), tuple(found), contradictory)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import Literal, Program
+from .kernel_py import _closure
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,8 @@ def encode(program: Program) -> Encoding:
 
     # least fixpoint of the NAF-free definite rules: a subset of every
     # satisfier of every reduct, so enumeration can start above it
-    forced = 0
-    changed = True
-    while changed:
-        changed = False
-        for head, pos, _, flag in zip(heads, poss, nafs, notfree):
-            if flag and head and head & (head - 1) == 0:
-                if pos & ~forced == 0 and head & forced != head:
-                    forced |= head
-                    changed = True
+    definite = [(h, p) for h, p, f in zip(heads, poss, notfree) if f and h and h & (h - 1) == 0]
+    forced = _closure(0, definite)
     zone_mask = (1 << len(layout)) - 1
     return Encoding(
         layout=tuple(layout),

@@ -125,9 +125,11 @@ def _apply_delta(p: Program, delta: Explanation, config: RunConfig | None = None
     return program_union(removed, Program(delta.add), config)
 
 
-def _solutions(p: Program, exps, kind: str) -> tuple[UpdateSolution, ...]:
-    out = [UpdateSolution(_apply_delta(p, e), e, kind) for e in exps]
-    return tuple(sorted(out, key=lambda s: s.delta.sort_key()))
+def _solutions(
+    p: Program, exps, kind: str, config: RunConfig | None
+) -> tuple[UpdateSolution, ...]:
+    """One solution per explanation, in the explanations' order."""
+    return tuple(UpdateSolution(_apply_delta(p, e, config), e, kind) for e in exps)
 
 
 def _check_goal_known(p: Program, v: Program, goal: Literal) -> None:
@@ -157,7 +159,7 @@ def view_insert(
     exps = explanations(
         AbductiveProgram(p, v), Observation.positive(goal), SKEPTICAL, True, config
     )
-    return _solutions(p, exps, VIEW_INSERT)
+    return _solutions(p, exps, VIEW_INSERT, config)
 
 
 def view_delete(
@@ -174,7 +176,7 @@ def view_delete(
     exps = anti_explanations(
         AbductiveProgram(p, v), Observation.negative(goal), CREDULOUS, True, config
     )
-    return _solutions(p, exps, VIEW_DELETE)
+    return _solutions(p, exps, VIEW_DELETE, config)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def maintain_integrity(
             "integrity constraints must stay in the fixed part of the program"
         )
     exps = anti_explanations(AbductiveProgram(p, v), Observation.bot(), CREDULOUS, True, config)
-    return _solutions(p, exps, INTEGRITY)
+    return _solutions(p, exps, INTEGRITY, config)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,7 @@ def _theory_solutions(
     exps = anti_explanations(
         AbductiveProgram(union, removable), Observation.bot(), CREDULOUS, True, cfg
     )
-    return _solutions(union, exps, kind)
+    return _solutions(union, exps, kind, cfg)
 
 
 def theory_update(
@@ -262,7 +264,7 @@ def delete_rule(
     )
     out = [
         UpdateSolution(
-            _apply_delta(rest, e),
+            _apply_delta(rest, e, cfg),
             Explanation(add=(), remove=[r, *e.remove], mode=CREDULOUS, minimal=True),
             RULE_DELETE,
         )
@@ -305,7 +307,7 @@ def remove_inconsistency(
     exps = anti_explanations(
         AbductiveProgram(p, abducibles), Observation.bot(), CREDULOUS, True, config
     )
-    return _solutions(p, exps, INCONSISTENCY_REMOVAL)
+    return _solutions(p, exps, INCONSISTENCY_REMOVAL, config)
 
 
 # ---------------------------------------------------------------------------

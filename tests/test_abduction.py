@@ -479,30 +479,33 @@ def test_bot_skeptical_is_rejected():
 
 
 def test_one_solve_serves_every_mode(monkeypatch):
+    abduction._prepare_cached.cache_clear()
     monkeypatch.setattr(solver, "_CACHE", OrderedDict())
-    calls = []
-    real_encode = solver.encode
-    monkeypatch.setattr(solver, "encode", lambda p: calls.append(p) or real_encode(p))
+    encoded, solved = [], []
+    real_encode, real_answer_sets = solver.encode, abduction.answer_sets
+    monkeypatch.setattr(solver, "encode", lambda p: encoded.append(p) or real_encode(p))
+    monkeypatch.setattr(
+        abduction, "answer_sets", lambda p, cfg: solved.append(p) or real_answer_sets(p, cfg)
+    )
     ap = ap_from(CHAIN)
     p, q = Literal(Atom("p")), Literal(Atom("q"))
-    grouped = []
-    real_groups = solver.AnswerMasks.groups
 
-    def groups(self, atoms):
-        grouped.append(real_groups(self, atoms))
-        return grouped[-1]
+    def every_mode():
+        for mode in (CREDULOUS, SKEPTICAL):
+            assert explanations(ap, Observation.positive(p), mode)
+            assert anti_explanations(ap, Observation.negative(q), mode)
+        assert anti_explanations(ap, Observation.bot())
 
-    monkeypatch.setattr(solver.AnswerMasks, "groups", groups)
-    for mode in (CREDULOUS, SKEPTICAL):
-        assert explanations(ap, Observation.positive(p), mode)
-        assert anti_explanations(ap, Observation.negative(q), mode)
-    assert anti_explanations(ap, Observation.bot())
-    assert len(calls) == 1
-    # the five modes read one grouping of the masks and decode no answer set
-    assert len(grouped) == 5
-    assert all(g is grouped[0] for g in grouped)
-    (result,) = solver._CACHE.values()
+    every_mode()
+    assert len(encoded) == 1 and len(solved) == 1
+    # the five modes read one grouping memoized on the update program
+    # and decode no answer set
+    result, _ = build_update_program(ap)._groups
+    (cached,) = solver._CACHE.values()
+    assert cached is result
     assert result._sets is None
+    every_mode()
+    assert len(encoded) == 1 and len(solved) == 1
 
 
 def test_update_program_is_built_once(monkeypatch):

@@ -194,6 +194,24 @@ penguin(tweety).
     assert entails(sol.updated_program, goal, cfg)
 
 
+def test_view_delete_applies_the_delta_under_the_callers_budget():
+    # the removed rule is a ground instance of r(X) :- p(X), so applying
+    # the delta grounds the program: 5^6 + 10 instances, over the default
+    # budget of 5000
+    unit = parse(
+        """
+p(a). p(b). p(c). p(d). p(e).
+r(X) :- p(X).
+s(X) :- p(X), p(Y1), p(Y2), p(Y3), p(Y4), p(Y5), X = Y1, Y1 = Y2, Y2 = Y3, Y3 = Y4, Y4 = Y5.
+#variable r(X) :- p(X).
+"""
+    )
+    cfg = RunConfig(max_ground_rules=40000, max_universe=200)
+    goal = Literal(Atom("r", (const("a"),)))
+    sols = view_delete(unit.program, unit.variable_rules, goal, cfg)
+    assert [str(s.delta) for s in sols] == ["-r(a) :- p(a)."]
+
+
 def test_view_delete_enumerates_alternatives():
     unit = parse(
         """
