@@ -24,6 +24,13 @@ Per instance it prints:
   multi    delta_maximal_answer_sets of the multi-solution program of the
            same theory update.
 
+After the instances it prints one line per command-line run:
+
+  cli      abdukit.cli.main, in process, for every command over every
+           input file of tests/test_cli.py, in text and --json, and the
+           --help of every command; the line holds the command with the
+           file's short name, the exit code, stdout and stderr.
+
 An error prints as its class name and message, so budgets and rejected
 inputs are compared too.  The output is the same under every
 PYTHONHASHSEED.
@@ -32,16 +39,24 @@ PYTHONHASHSEED.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
+import os
 import random
+import shlex
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import random_abduction_instance, random_ground_program
+from test_cli import FIXTURES
 
-from abdukit import updates
+from abdukit import cli, updates
 from abdukit.abduction import (
     BOT,
     CREDULOUS,
@@ -56,7 +71,8 @@ from abdukit.abduction import (
     u_minimal_filter,
 )
 from abdukit.config import RunConfig
-from abdukit.core import AbdukitError, Atom, Literal, Program, fact
+from abdukit.core import AbdukitError, Atom, Literal, Program, fact, ground
+from abdukit.parser import parse
 from abdukit.solver import answer_sets, consistent, credulous_holds, entails
 
 ABSENT = Literal(Atom("absent"))
@@ -160,12 +176,77 @@ def update_lines(i: int, rng: random.Random):
     yield "multi %d: %s" % (i, _show(multi))
 
 
+def _commands(name: str, next_name: str):
+    """The argument lists run on one input file.  Its goal is the first
+    derived head of its ground program, the rule inserted is the goal's
+    complement and the rule deleted is the program's first rule."""
+    program = parse(FIXTURES[name]).program
+    derived = sorted(
+        (l for r in ground(program).rules if r.body for l in r.head), key=Literal.key
+    )
+    goal = derived[0] if derived else ABSENT
+    old_rule = program.sorted_rules()[0] if len(program) else fact(ABSENT)
+    obs = ["--obs", str(goal)]
+    return [
+        ["answersets", name],
+        ["explain", name, *obs],
+        ["explain", name, *obs, "--mode", "skeptical"],
+        ["explain", name, *obs, "--neg"],
+        ["explain", name, *obs, "--neg", "--mode", "skeptical"],
+        ["explain", name, *obs, "--all"],
+        ["explain", name, *obs, "--trace"],
+        ["view-insert", name, "--goal", str(goal)],
+        ["view-delete", name, "--goal", str(goal)],
+        ["maintain", name],
+        ["update", name, next_name],
+        ["insert-rule", name, "--rule", str(fact(goal.complement()))],
+        ["delete-rule", name, "--rule", str(old_rule)],
+        ["repair", name],
+        ["repair", name, "--scope", updates.FACT_UNIVERSE],
+        ["transform", name, "normal-form"],
+        ["transform", name, "update-program"],
+    ]
+
+
+def _run_cli(argv: list[str], folder: str) -> str:
+    """One in-process run of the command line; input files are named by
+    their short name, which stands for their path in folder."""
+    paths = [str(Path(folder, "%s.edp" % a)) if a in FIXTURES else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(paths)
+        except SystemExit as exc:
+            code = exc.code
+    shown = [s.getvalue().replace(folder + "/", "") for s in (out, err)]
+    return "cli %s: exit=%s out=%s err=%s" % (
+        shlex.join(argv), code, json.dumps(shown[0]), json.dumps(shown[1])
+    )
+
+
+def cli_lines():
+    names = list(FIXTURES)
+    # argparse wraps --help to the terminal width, which COLUMNS overrides
+    with tempfile.TemporaryDirectory() as folder, mock.patch.dict(os.environ, COLUMNS="80"):
+        for name in names:
+            Path(folder, "%s.edp" % name).write_text(FIXTURES[name], encoding="utf-8")
+        commands: dict[str, None] = {}
+        for name, next_name in zip(names, names[1:] + names[:1]):
+            for argv in _commands(name, next_name):
+                commands[argv[0]] = None
+                yield _run_cli(argv, folder)
+                yield _run_cli(["--json", *argv], folder)
+        for argv in [[], *([c] for c in commands)]:
+            yield _run_cli([*argv, "--help"], folder)
+
+
 def dump(instances: int, seed: int):
     for i in range(instances):
         rng = random.Random(seed * 1_000_003 + i)
         yield from abduce_lines(i, rng)
         yield from solve_lines(i, rng)
         yield from update_lines(i, rng)
+    yield from cli_lines()
 
 
 def main(argv=None) -> int:

@@ -38,10 +38,8 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .core import (
     AbdukitError,
     Atom,
-    GroundingBudgetExceeded,
     Literal,
     NafLiteral,
-    NoConstants,
     Program,
     Rule,
     Term,
@@ -310,24 +308,12 @@ def _unifiable(a: Literal, b: Literal) -> bool:
     return True
 
 
-def _bindings(
-    pattern: Literal | Rule, constants: Iterable[Term], config: RunConfig
-) -> list[dict[str, Term]]:
-    """Every assignment of constants to the pattern's variables."""
-    names = sorted(pattern.variables())
-    consts = sorted(set(constants), key=Term.key)
-    if names and not consts:
-        raise NoConstants("abducible %s has variables but no constant exists" % pattern)
-    if len(consts) ** len(names) > config.max_ground_rules:
-        raise GroundingBudgetExceeded(
-            "abducible %s has more instances than the budget of %d"
-            % (pattern, config.max_ground_rules)
-        )
-    return [dict(zip(names, combo)) for combo in itertools.product(consts, repeat=len(names))]
-
-
-def _instances(literal: Literal, constants: Iterable[Term], config: RunConfig) -> list[Literal]:
-    return [literal.substitute(b) for b in _bindings(literal, constants, config)]
+def _ground_heads(
+    facts: Program, constants: Iterable[Term], config: RunConfig
+) -> frozenset[Literal]:
+    """The heads of the ground instances of single-head facts over
+    constants, from one ground call under its budget."""
+    return frozenset(lit for r in ground(facts, constants, config).rules for lit in r.head)
 
 
 def _literal_constants(literal: Literal | None) -> frozenset[Term]:
@@ -471,11 +457,12 @@ def normal_form(
         elif r.variables() and constants:
             # the pattern is absent but single instances may still be present;
             # those instances leave the program and keep their name instead
-            for binding in _bindings(r, constants, cfg):
-                inst = r.substitute(binding)
+            one = NameMap(((r, name),))
+            for name_inst in _ground_heads(Program([fact(name_lit)]), constants, cfg):
+                inst = one.rule_for(name_inst.atom)
                 if inst in ap.program:
                     new_program = [x for x in new_program if x != inst]
-                    new_program.append(fact(name_lit.substitute(binding)))
+                    new_program.append(fact(name_inst))
     return AbductiveProgram(Program(new_program), Program(new_abducibles)), NameMap(tuple(entries))
 
 
@@ -512,9 +499,8 @@ def _prepare_cached(
     nf, name_map = normal_form(fixed, cfg)
     constants = nf.program.constants() | nf.abducibles.constants() | extra_constants
     gp = ground(nf.program, constants, cfg)
-    abducible: set[Literal] = set()
-    for pattern in nf.fact_patterns():
-        abducible.update(_instances(pattern, constants, cfg))
+    # normal_form leaves only single-head facts abducible
+    abducible = _ground_heads(nf.abducibles, constants, cfg)
     rules = [
         r
         for r in gp
@@ -596,14 +582,23 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
 def _resolve(
     name_map: NameMap, renames: tuple[tuple[Literal, Literal], ...], lit: Literal
 ) -> Rule:
+    """The source rule of an abducible instance: its named rule or its
+    fact, with every fresh literal _normalize put in the head mapped back
+    to its source, as it is in a rewritten disjunctive fact."""
     rule = name_map.rule_for(lit.atom)
-    if rule is not None:
+    if rule is None:
+        rule = fact(lit)
+    if not renames:
         return rule
-    for fresh, source in renames:
-        binding = _match(fresh, lit)
-        if binding is not None:
-            return fact(source.substitute(binding))
-    return fact(lit)
+
+    def source(h: Literal) -> Literal:
+        for fresh, pattern in renames:
+            binding = _match(fresh, h)
+            if binding is not None:
+                return pattern.substitute(binding)
+        return h
+
+    return Rule([source(h) for h in rule.head], rule.body)
 
 
 def _finish(
@@ -739,9 +734,7 @@ def to_normal_abduction(
             )
     constants = ap.program.constants() | ap.abducibles.constants()
     gp = ground(ap.program, constants, cfg)
-    insts: set[Literal] = set()
-    for pattern in ap.fact_patterns():
-        insts.update(_instances(pattern, constants, cfg))
+    insts = _ground_heads(ap.abducibles, constants, cfg)
     in_p = sorted((l for l in insts if fact(l) in gp), key=Literal.key)
     out_p = sorted((l for l in insts if fact(l) not in gp), key=Literal.key)
     mapping = tuple((a, _internal_literal(_PRIME, a)) for a in in_p)

@@ -199,57 +199,76 @@ def _require_variable_part(unit: SourceUnit) -> Program:
     return unit.variable_rules
 
 
-def _cmd_view_insert(args: argparse.Namespace) -> int:
+def _cmd_service(args: argparse.Namespace) -> int:
+    """Every update command: load FILE, call its service, print the solutions."""
     cfg = _config(args)
     unit = _load(args.file)
-    v = _require_variable_part(unit)
-    sols = view_insert(unit.program, v, _literal(args.goal), cfg)
-    return _emit_solutions(sols, args.json)
+    return _emit_solutions(args.service(args, unit, cfg), args.json)
 
 
-def _cmd_view_delete(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    unit = _load(args.file)
-    v = _require_variable_part(unit)
-    sols = view_delete(unit.program, v, _literal(args.goal), cfg)
-    return _emit_solutions(sols, args.json)
+_GOAL = (("--goal",), dict(required=True, metavar="L"))
+_RULE = (("--rule",), dict(required=True, metavar="RULE"))
+_SCOPE = (
+    ("--scope",),
+    dict(
+        choices=[ALL_RULES, FACT_UNIVERSE],
+        default=ALL_RULES,
+        help="what may change: any rule, or facts over the program's own signature",
+    ),
+)
 
-
-def _cmd_maintain(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    unit = _load(args.file)
-    v = _require_variable_part(unit)
-    sols = maintain_integrity(unit.program, v, cfg)
-    return _emit_solutions(sols, args.json)
-
-
-def _cmd_update(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = _load(args.file).program
-    q = _load(args.file2).program
-    sols = theory_update(p, q, cfg)
-    return _emit_solutions(sols, args.json)
-
-
-def _cmd_insert_rule(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = _load(args.file).program
-    sols = insert_rule(p, parse_rule(args.rule), cfg)
-    return _emit_solutions(sols, args.json)
-
-
-def _cmd_delete_rule(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = _load(args.file).program
-    sols = delete_rule(p, parse_rule(args.rule), cfg)
-    return _emit_solutions(sols, args.json)
-
-
-def _cmd_repair(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    p = _load(args.file).program
-    sols = remove_inconsistency(p, args.scope, cfg)
-    return _emit_solutions(sols, args.json)
+# each update command: its name, help, arguments after FILE, and how it
+# calls its service on the parsed FILE
+_SERVICE_COMMANDS = [
+    (
+        "view-insert",
+        "make a literal hold by changing the #variable part",
+        [_GOAL],
+        lambda args, unit, cfg: view_insert(
+            unit.program, _require_variable_part(unit), _literal(args.goal), cfg
+        ),
+    ),
+    (
+        "view-delete",
+        "make a literal fail by changing the #variable part",
+        [_GOAL],
+        lambda args, unit, cfg: view_delete(
+            unit.program, _require_variable_part(unit), _literal(args.goal), cfg
+        ),
+    ),
+    (
+        "maintain",
+        "restore consistency via the #variable part",
+        [],
+        lambda args, unit, cfg: maintain_integrity(
+            unit.program, _require_variable_part(unit), cfg
+        ),
+    ),
+    (
+        "update",
+        "update the first program by the second",
+        [(("file2",), {})],
+        lambda args, unit, cfg: theory_update(unit.program, _load(args.file2).program, cfg),
+    ),
+    (
+        "insert-rule",
+        "add one rule, dropping others if forced",
+        [_RULE],
+        lambda args, unit, cfg: insert_rule(unit.program, parse_rule(args.rule), cfg),
+    ),
+    (
+        "delete-rule",
+        "remove one rule, dropping others if forced",
+        [_RULE],
+        lambda args, unit, cfg: delete_rule(unit.program, parse_rule(args.rule), cfg),
+    ),
+    (
+        "repair",
+        "make an inconsistent program consistent",
+        [_SCOPE],
+        lambda args, unit, cfg: remove_inconsistency(unit.program, args.scope, cfg),
+    ),
+]
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -315,44 +334,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print intermediate programs")
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("view-insert", help="make a literal hold by changing the #variable part")
-    p.add_argument("file")
-    p.add_argument("--goal", required=True, metavar="L")
-    p.set_defaults(func=_cmd_view_insert)
-
-    p = sub.add_parser("view-delete", help="make a literal fail by changing the #variable part")
-    p.add_argument("file")
-    p.add_argument("--goal", required=True, metavar="L")
-    p.set_defaults(func=_cmd_view_delete)
-
-    p = sub.add_parser("maintain", help="restore consistency via the #variable part")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_maintain)
-
-    p = sub.add_parser("update", help="update the first program by the second")
-    p.add_argument("file")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_update)
-
-    p = sub.add_parser("insert-rule", help="add one rule, dropping others if forced")
-    p.add_argument("file")
-    p.add_argument("--rule", required=True, metavar="RULE")
-    p.set_defaults(func=_cmd_insert_rule)
-
-    p = sub.add_parser("delete-rule", help="remove one rule, dropping others if forced")
-    p.add_argument("file")
-    p.add_argument("--rule", required=True, metavar="RULE")
-    p.set_defaults(func=_cmd_delete_rule)
-
-    p = sub.add_parser("repair", help="make an inconsistent program consistent")
-    p.add_argument("file")
-    p.add_argument(
-        "--scope",
-        choices=[ALL_RULES, FACT_UNIVERSE],
-        default=ALL_RULES,
-        help="what may change: any rule, or facts over the program's own signature",
-    )
-    p.set_defaults(func=_cmd_repair)
+    for name, help_text, arguments, service in _SERVICE_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=_cmd_service, service=service)
 
     p = sub.add_parser("transform", help="print an intermediate program")
     p.add_argument("file")

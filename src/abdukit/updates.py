@@ -14,10 +14,15 @@ abductive program:
   of rules (or add facts, under the fact-universe scope) so the program
   becomes consistent.
 
-Each solution carries the updated program together with the change pair
-that produced it.  A companion construction packs every theory-update
-solution into one program whose answer sets, maximal on the marker
-atoms, enumerate all updated programs at once.
+Each service checks its inputs and makes one abductive call through
+_solve: the minimal explanations of a positive observation, or the
+anti-explanations of a negative or bot one, with the part that may
+change as the abducibles.  Rule deletion makes its call through
+inconsistency removal on the ground rest of the program.  Each solution
+carries the updated program together with the change pair that produced
+it, in the engine's order.  A companion construction packs every
+theory-update solution into one program whose answer sets, maximal on
+the marker atoms, enumerate all updated programs at once.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from typing import Iterable
 
 from .abduction import (
     CREDULOUS,
+    POSITIVE,
     SKEPTICAL,
     AbductiveProgram,
     Explanation,
     Observation,
     _choice_rules,
-    _instances,
+    _ground_heads,
     _ordered_vars,
     _undominated_sets,
     anti_explanations,
@@ -116,20 +122,36 @@ def _coerce(rules: Program | Iterable[Rule]) -> Program:
 
 def _apply_delta(p: Program, delta: Explanation, config: RunConfig | None = None) -> Program:
     """(P \\ F) u E, staying at the pattern level when F consists of exact
-    member rules and falling back to ground instantiations otherwise."""
+    member rules.  Otherwise P is grounded once over the constants of P, F
+    and E, so instances over a constant only E brings are kept, and F is
+    grounded too, dropping the true builtins its instances still carry."""
     if not delta.add and not delta.remove:
         return p
     if all(r in p.rules for r in delta.remove):
         return Program((p.rules - delta.remove) | delta.add)
-    removed = program_diff(p, Program(delta.remove), config)
-    return program_union(removed, Program(delta.add), config)
+    gp = ground(p, Program(delta.add | delta.remove).constants(), config)
+    gf = ground(Program(delta.remove), config=config)
+    return Program((gp.rules - gf.rules) | delta.add)
 
 
-def _solutions(
-    p: Program, exps, kind: str, config: RunConfig | None
+def _solve(
+    program: Program,
+    hypotheses: Program,
+    obs: Observation,
+    mode: str,
+    kind: str,
+    config: RunConfig | None,
 ) -> tuple[UpdateSolution, ...]:
-    """One solution per explanation, in the explanations' order."""
-    return tuple(UpdateSolution(_apply_delta(p, e, config), e, kind) for e in exps)
+    """The one abductive call behind every update service: the minimal
+    explanations of a positive observation, or anti-explanations of a
+    negative or bot one, over (program, hypotheses), each applied to
+    program in the engine's order."""
+    ap = AbductiveProgram(program, hypotheses)
+    find = explanations if obs.kind == POSITIVE else anti_explanations
+    return tuple(
+        UpdateSolution(_apply_delta(program, e, config), e, kind)
+        for e in find(ap, obs, mode, True, config)
+    )
 
 
 def _check_goal_known(p: Program, v: Program, goal: Literal) -> None:
@@ -156,10 +178,7 @@ def view_insert(
     explanation; the empty tuple means the insertion cannot be done."""
     p, v = _coerce(p), _coerce(v)
     _check_goal_known(p, v, goal)
-    exps = explanations(
-        AbductiveProgram(p, v), Observation.positive(goal), SKEPTICAL, True, config
-    )
-    return _solutions(p, exps, VIEW_INSERT, config)
+    return _solve(p, v, Observation.positive(goal), SKEPTICAL, VIEW_INSERT, config)
 
 
 def view_delete(
@@ -173,10 +192,7 @@ def view_delete(
     anti-explanation; the empty tuple means the deletion cannot be done."""
     p, v = _coerce(p), _coerce(v)
     _check_goal_known(p, v, goal)
-    exps = anti_explanations(
-        AbductiveProgram(p, v), Observation.negative(goal), CREDULOUS, True, config
-    )
-    return _solutions(p, exps, VIEW_DELETE, config)
+    return _solve(p, v, Observation.negative(goal), CREDULOUS, VIEW_DELETE, config)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +212,7 @@ def maintain_integrity(
         raise ConstraintInVariablePart(
             "integrity constraints must stay in the fixed part of the program"
         )
-    exps = anti_explanations(AbductiveProgram(p, v), Observation.bot(), CREDULOUS, True, config)
-    return _solutions(p, exps, INTEGRITY, config)
+    return _solve(p, v, Observation.bot(), CREDULOUS, INTEGRITY, config)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +230,7 @@ def _theory_solutions(
         )
     union = program_union(gp, gq, cfg)
     removable = program_diff(gp, gq, cfg)
-    exps = anti_explanations(
-        AbductiveProgram(union, removable), Observation.bot(), CREDULOUS, True, cfg
-    )
-    return _solutions(union, exps, kind, cfg)
+    return _solve(union, removable, Observation.bot(), CREDULOUS, kind, cfg)
 
 
 def theory_update(
@@ -250,25 +262,22 @@ def delete_rule(
     inconsistent remainder forces.
 
     The remainder is grounded over the program's constants and repaired
-    with every one of its rules removable, so the results are the maximal
-    consistent subsets of the program without r.  Each solution's remove
-    set holds r and the rules the repair dropped."""
+    by remove_inconsistency with every one of its rules removable, so the
+    results are the maximal consistent subsets of the program without r.
+    Each solution's remove set holds r and the rules the repair dropped."""
     cfg = config or DEFAULT_CONFIG
     p = _coerce(p)
     r = canonical_form(r)
     if r not in p:
         raise RuleNotPresent("rule not in the program: %s" % r)
     rest = ground(Program(p.rules - {r}), p.constants(), cfg)
-    exps = anti_explanations(
-        AbductiveProgram(rest, rest), Observation.bot(), CREDULOUS, True, cfg
-    )
     out = [
         UpdateSolution(
-            _apply_delta(rest, e, cfg),
-            Explanation(add=(), remove=[r, *e.remove], mode=CREDULOUS, minimal=True),
+            s.updated_program,
+            Explanation(add=(), remove=[r, *s.delta.remove], mode=CREDULOUS, minimal=True),
             RULE_DELETE,
         )
-        for e in exps
+        for s in remove_inconsistency(rest, ALL_RULES, cfg)
     ]
     return tuple(sorted(out, key=lambda s: s.delta.sort_key()))
 
@@ -304,10 +313,7 @@ def remove_inconsistency(
             raise ScopeNotSubset(
                 "scope rules not in the program: %s" % "; ".join(str(r) for r in missing)
             )
-    exps = anti_explanations(
-        AbductiveProgram(p, abducibles), Observation.bot(), CREDULOUS, True, config
-    )
-    return _solutions(p, exps, INCONSISTENCY_REMOVAL, config)
+    return _solve(p, abducibles, Observation.bot(), CREDULOUS, INCONSISTENCY_REMOVAL, config)
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +332,15 @@ def multi_solution_program(
     cfg = config or DEFAULT_CONFIG
     p, q = _coerce(p), _coerce(q)
     guarded: list[Rule] = list(q.rules)
-    markers: list[Literal] = []
+    markers: list[Rule] = []
     for i, r in enumerate(sorted(p, key=Rule.key), start=1):
         gamma = Literal(Atom(_GAMMA % i, tuple(var(n) for n in _ordered_vars(r))))
-        markers.append(gamma)
+        markers.append(fact(gamma))
         guarded.append(Rule(r.head, set(r.body) | {NafLiteral(gamma, False)}))
         guarded += _choice_rules(gamma)
     constants = p.constants() | q.constants()
     pi = ground(Program(guarded), constants, cfg)
-    delta_atoms = frozenset(
-        inst.atom for gamma in markers for inst in _instances(gamma, constants, cfg)
-    )
+    delta_atoms = frozenset(m.atom for m in _ground_heads(Program(markers), constants, cfg))
     return MultiSolutionProgram(pi, delta_atoms)
 
 

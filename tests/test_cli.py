@@ -43,21 +43,31 @@ republican.
 """
 
 
+# the input files of these tests, by short name; benchmarks/dump_engine.py
+# runs every command over them too
+FIXTURES = {
+    "trans": TRANS,
+    "birds": BIRDS,
+    "birds_abducible": BIRDS.replace("#variable", "#abducible"),
+    "manager": MANAGER,
+    "nixon": NIXON,
+    "tv1": "sleep :- not tv_on.\nwatch_tv :- tv_on.\ntv_on.\n",
+    "tv2": "power_failure.\n:- power_failure, tv_on.\n",
+    "empty": "",
+    "chain": "q(a).\np(X) :- q(X).\n",
+    "disj": "p; q :- a.\n-q :- not b.\nb.\n#abducible a.\n#abducible b.\n",
+    # inserting g adds p(b), whose constant only the change brings
+    "fresh": (
+        "r(X) :- p(X).\np(a).\ng :- r(X), not r(a).\n"
+        "#variable r(X) :- p(X).\n#variable p(b).\n"
+    ),
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in [
-        ("trans", TRANS),
-        ("birds", BIRDS),
-        ("birds_abducible", BIRDS.replace("#variable", "#abducible")),
-        ("manager", MANAGER),
-        ("nixon", NIXON),
-        ("tv1", "sleep :- not tv_on.\nwatch_tv :- tv_on.\ntv_on.\n"),
-        ("tv2", "power_failure.\n:- power_failure, tv_on.\n"),
-        ("empty", ""),
-        ("chain", "q(a).\np(X) :- q(X).\n"),
-        ("disj", "p; q :- a.\n-q :- not b.\nb.\n#abducible a.\n#abducible b.\n"),
-    ]:
+    for name, text in FIXTURES.items():
         path = tmp_path / ("%s.edp" % name)
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)

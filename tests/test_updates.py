@@ -17,6 +17,7 @@ from abdukit.abduction import (
 )
 from abdukit.config import RunConfig
 from abdukit.core import (
+    AbdukitError,
     Atom,
     Literal,
     LiteralUniverse,
@@ -50,6 +51,7 @@ from abdukit.updates import (
 )
 
 from corpus import random_ground_program
+from test_cli import FIXTURES
 
 
 def deltas(sols) -> set:
@@ -210,6 +212,20 @@ s(X) :- p(X), p(Y1), p(Y2), p(Y3), p(Y4), p(Y5), X = Y1, Y1 = Y2, Y2 = Y3, Y3 = 
     goal = Literal(Atom("r", (const("a"),)))
     sols = view_delete(unit.program, unit.variable_rules, goal, cfg)
     assert [str(s.delta) for s in sols] == ["-r(a) :- p(a)."]
+
+
+def test_applied_delta_keeps_instances_over_constants_only_the_change_brings():
+    # p(b) brings the constant b, and removing r(a) :- p(a) grounds the
+    # program: it must be grounded over b too, or r(b) :- p(b) and
+    # g :- r(b), not r(a) are lost and g no longer holds
+    unit = parse(FIXTURES["fresh"])
+    goal = Literal(Atom("g"))
+    (sol,) = view_insert(unit.program, unit.variable_rules, goal)
+    assert str(sol.delta) == "+p(b). -r(a) :- p(a)."
+    assert sol.updated_program == parse(
+        "g :- r(a), not r(a).\ng :- r(b), not r(a).\np(a).\np(b).\nr(b) :- p(b)."
+    ).program
+    assert entails(sol.updated_program, goal)
 
 
 def test_view_delete_enumerates_alternatives():
@@ -511,6 +527,16 @@ def test_repair_fact_universe_searches_a_wide_update_program():
     assert tuple(s.delta for s in sols) == oracle
 
 
+def test_repair_names_the_source_of_a_renamed_disjunctive_fact():
+    # a0 heads a rule, so normalization renames it inside a0 ; a1.; the
+    # removal must name the program's own fact, not the renamed one, or
+    # the fact stays and the repaired program is inconsistent
+    p = parse("a0 :- a1, -a0.\na0 ; a1.\na1.\n-a0 :- not -a1.").program
+    sols = remove_inconsistency(p, FACT_UNIVERSE, RunConfig(max_universe=24))
+    assert [str(s.delta) for s in sols] == ["-a0 ; a1. -a1.", "+a0. +-a1. -a1."]
+    assert all(consistent(s.updated_program) for s in sols)
+
+
 def test_repair_of_consistent_program_changes_nothing():
     p = parse("p :- q.\nq.").program
     sols = remove_inconsistency(p)
@@ -575,3 +601,67 @@ def test_multi_solution_program_with_empty_source():
     result = delta_maximal_answer_sets(m)
     assert len(result.sets) == 1
     assert {str(l) for l in result.sets[0].literals} == {"a", "b"}
+
+
+# ---------------------------------------------------------------------------
+# every service keeps its promise on the programs it returns
+
+
+def _service_cases():
+    """(program, variable part, goal, new rules, new rule, old rule): one
+    per goal of each command-line input file, then seeded corpus cases."""
+    names = list(FIXTURES)
+    for name, next_name in zip(names, names[1:] + names[:1]):
+        unit = parse(FIXTURES[name])
+        v = Program(unit.variable_rules.rules | unit.abducibles.rules)
+        q = parse(FIXTURES[next_name]).program
+        heads = {l for r in core.ground(unit.program).rules for l in r.head}
+        for goal in sorted(heads, key=Literal.key):
+            new_rule, old_rule = fact(goal.complement()), unit.program.sorted_rules()[0]
+            yield unit.program, v, goal, q, new_rule, old_rule
+    rng = random.Random(20261020)
+    for _ in range(40):
+        p = random_ground_program(rng, max_atoms=4, max_rules=5)
+        facts = [r for r in p.sorted_rules() if r.is_fact]
+        v = Program(rng.sample(facts, min(2, len(facts))))
+        goal = rng.choice(sorted(p.literals(), key=Literal.key))
+        q = random_ground_program(rng, max_atoms=4, max_rules=2)
+        yield p, v, goal, q, fact(goal.complement()), rng.choice(p.sorted_rules())
+
+
+def _solved(service, *args):
+    """The service's solutions, or none where it rejects its input."""
+    try:
+        return service(*args)
+    except AbdukitError:
+        return ()
+
+
+def test_every_service_keeps_its_promise():
+    cfg = RunConfig(max_universe=24)
+    checked = 0
+    for p, v, goal, q, new_rule, old_rule in _service_cases():
+        promises = []
+        # the variable part both inside the program and outside it
+        for base in (p, Program(p.rules - v.rules)):
+            promises += [
+                (_solved(view_insert, base, v, goal, cfg), lambda u: entails(u, goal, cfg)),
+                (_solved(view_delete, base, v, goal, cfg), lambda u: not entails(u, goal, cfg)),
+                (_solved(maintain_integrity, base, v, cfg), None),
+            ]
+        promises += [
+            (_solved(theory_update, p, q, cfg), lambda u: not program_diff(q, u, cfg).rules),
+            (
+                _solved(insert_rule, p, new_rule, cfg),
+                lambda u: not program_diff(Program([new_rule]), u, cfg).rules,
+            ),
+            (_solved(remove_inconsistency, p, ALL_RULES, cfg), None),
+            (_solved(remove_inconsistency, p, FACT_UNIVERSE, cfg), None),
+            (_solved(delete_rule, p, old_rule, cfg), None),
+        ]
+        for sols, promise in promises:
+            for sol in sols:
+                assert consistent(sol.updated_program, cfg), (p, sol.delta)
+                assert promise is None or promise(sol.updated_program), (p, goal, sol.delta)
+                checked += 1
+    assert checked > 500
