@@ -1,13 +1,16 @@
-"""Time the answer-set kernel's search against its generate-and-test loop.
+"""Time the answer-set kernel's search against generate and test.
 
-kernel_py.enumerate_answer_sets searches head-cycle-free programs by least
-models; kernel_py._generate_and_test tests every candidate set.  Both take
-the same bitmask encoding, so each workload is encoded once and both are
-timed on it directly, after a check that they agree (exit status 1 when
-they do not).  Workloads:
+kernel_py.enumerate_answer_sets searches every program by least models;
+the generate-and-test oracle in tests/kernel_oracle.py tests every
+candidate set.  Both take the same bitmask encoding, so each workload is
+encoded once and both are timed on it directly, after a check that they
+agree (exit status 1 when they do not).  Workloads:
 
   corpus    random ground programs with disjunction and strong negation
   update    update programs built from random abductive instances
+  cycle     update programs with a head cycle: repairs of small programs
+            with a planted head cycle, every rule removable or every fact
+            over their literals addable
   choice    n independent choice pairs (2^n answer sets)
 
 Usage: python3 benchmarks/bench_kernel.py [--repeat N] [--instances N]
@@ -27,7 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from corpus import random_abduction_instance, random_ground_program
+from corpus import head_cycle_repairs, random_abduction_instance, random_ground_program
+from kernel_oracle import generate_and_test
 
 from abdukit.abduction import AbductiveProgram, build_update_program
 from abdukit.config import RunConfig
@@ -38,7 +42,7 @@ from abdukit.solver.encode import encode
 
 KERNELS = [
     ("search", kernel_py.enumerate_answer_sets),
-    ("gen-test", kernel_py._generate_and_test),
+    ("gen-test", generate_and_test),
 ]
 
 CFG = RunConfig(max_universe=24)
@@ -76,6 +80,18 @@ def _update_encodings(count: int, seed: int) -> list:
     return out
 
 
+def _cycle_encodings(count: int, seed: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        for rules in head_cycle_repairs(rng, CFG):
+            enc = encode(rules)
+            head_cycle = not kernel_py._head_cycle_free(enc.heads, enc.poss)
+            if head_cycle and _free_bits(enc) <= _MAX_FREE_BITS:
+                out.append(enc)
+    return out[:count]
+
+
 def _choice_encodings(width: int) -> list:
     lines = []
     for i in range(width):
@@ -107,7 +123,7 @@ def _run(kernel, encodings) -> float:
 def _check_agreement(encodings) -> None:
     for enc in encodings:
         args = _args(enc)
-        if kernel_py.enumerate_answer_sets(*args) != kernel_py._generate_and_test(*args):
+        if kernel_py.enumerate_answer_sets(*args) != generate_and_test(*args):
             raise SystemExit("kernel disagreement on a benchmark instance")
 
 
@@ -121,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [
         ("corpus", _corpus_encodings(args.instances, seed=11)),
         ("update", _update_encodings(args.instances, seed=22)),
+        ("cycle", _cycle_encodings(args.instances, seed=33)),
         ("choice", _choice_encodings(args.choice_width)),
     ]
     for name, encodings in workloads:

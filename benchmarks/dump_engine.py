@@ -143,9 +143,7 @@ def solve_lines(i: int, rng: random.Random):
 
 def update_lines(i: int, rng: random.Random):
     p = random_ground_program(rng, max_atoms=4, max_rules=5)
-    # update programs that are not head-cycle-free go to generate and test,
-    # which takes minutes on some fact-universe repairs above this cap
-    cfg = RunConfig(max_universe=24)
+    cfg = RunConfig(max_universe=30)
     rules = list(p.sorted_rules())
     facts = [r for r in rules if r.is_fact]
     v = Program(rng.sample(facts, min(2, len(facts))))

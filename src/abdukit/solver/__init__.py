@@ -1,11 +1,11 @@
 """Answer-set semantics for ground extended disjunctive programs.
 
 Exact at desk scale: a ground program is encoded as bitmasks over its
-possibly-derivable literals, and kernel_py finds its answer sets by a
-least-model search when it is head-cycle-free, by generate and test
-otherwise.  The contradictory set L_P is modeled explicitly: it is an
-answer set exactly when the program's NAF-free part has no integrity
-constraint and no consistent set satisfies it.
+possibly-derivable literals, and kernel_py finds its answer sets by one
+least-model search, with or without a head cycle.  The contradictory
+set L_P is modeled explicitly: it is an answer set exactly when the
+program's NAF-free part has no integrity constraint and no consistent
+set satisfies it.
 
 An AnswerSetResult is the layout, the consistent masks, the L_P flag
 and the AND and OR of the masks.  answer_sets' 64-entry cache holds
@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..config import DEFAULT_CONFIG, RunConfig
-from ..core import AbdukitError, Literal, NafLiteral, Program, Rule, ground
+from ..core import AbdukitError, Literal, Program, Rule, ground
 from . import kernel_py as _kernel
 from .encode import encode
 
@@ -165,37 +165,6 @@ def _check_solver_rule(r: Rule) -> None:
         raise NonGroundRule("rule has variables: %s" % r)
     if r.builtins():
         raise NonGroundRule("rule has unevaluated builtins: %s" % r)
-
-
-def satisfies(s: Interpretation, r: Rule) -> bool:
-    """Rule satisfaction on ground rules.
-
-    The marker stands for the full literal set, so it meets any nonempty
-    head and falsifies the body of any rule with a NAF element; a NAF-free
-    constraint is the one shape it cannot satisfy.
-    """
-    _check_solver_rule(r)
-    if s.marker:
-        return bool(r.head) or bool(r.body_naf())
-    lits = s.literals
-    if r.body_pos() <= lits and not (r.body_naf() & lits):
-        return bool(r.head & lits)
-    return True
-
-
-def reduct(p: Program, s: Interpretation) -> Program:
-    """NAF-free transform: drop rules whose NAF part meets s, strip NAF."""
-    out = []
-    for r in p.sorted_rules():
-        _check_solver_rule(r)
-        naf = r.body_naf()
-        if s.marker:
-            if naf:
-                continue
-        elif naf & s.literals:
-            continue
-        out.append(Rule(r.head, [NafLiteral(l, False) for l in r.body_pos()]))
-    return Program(out)
 
 
 # least recently used entries go first once the bound is reached

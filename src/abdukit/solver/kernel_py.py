@@ -1,19 +1,19 @@
 """The answer-set kernel: enumerate the answer sets of an encoded program.
 
-A head-cycle-free program (no two literals of one disjunctive head
-depend positively on each other) is shifted into a normal one, which
-keeps its answer sets (Ben-Eliyahu & Dechter 1994).  Its answer sets are
-then found by least models: guess only the literals that occur under
-NAF, take the least model of the reduct the guess selects, and keep it
-when it agrees with the guess, is consistent and meets every constraint
-(Gelfond & Lifschitz 1991).  Any other program goes to the
-generate-and-test loop _generate_and_test, which tests every candidate
-set and scans its subsets for minimality; the tests also run it as the
-oracle the search must match.  The contradictory set is an answer set
-when the NAF-free rules include no constraint and have no consistent
-model: when none of them is disjunctive that means `forced` is
-inconsistent, and otherwise only the free bits of their heads are
-searched.  Masks are Python ints, so the head zone has no width limit.
+One search serves every program.  It guesses only the literals that
+occur under NAF once each disjunctive head is shifted into NAF, and
+bounds every guess from below and above by least models (Gelfond &
+Lifschitz 1991).  A head-cycle-free program (no two literals of one
+disjunctive head depend positively on each other) keeps its answer sets
+under that shift (Ben-Eliyahu & Dechter 1994), so each complete guess
+yields the least model of the reduct it selects.  Any other program
+yields one candidate per complete guess, kept when no proper subset of
+it is a model of its reduct.  The contradictory set is an answer set
+when no consistent one is, the NAF-free rules include no constraint and
+they have no consistent model: when none of them is disjunctive that
+means `forced` is inconsistent, and otherwise only the free bits of
+their heads are searched.  Masks are Python ints, so the head zone has
+no width limit.
 """
 
 from __future__ import annotations
@@ -43,19 +43,15 @@ def enumerate_answer_sets(
     NAF-free rules (notfree) include no constraint and have no
     consistent model.
     """
-    if not _head_cycle_free(heads, poss):
-        return _generate_and_test(
-            forced, free_mask, conflict_first, heads, poss, nafs, notfree,
-            has_naf_free_constraint,
-        )
     answers: list[int] = []
     if forced & (forced >> 1) & conflict_first == 0:
         answers = _least_models(forced, free_mask, conflict_first, heads, poss, nafs)
     contradictory = False
-    if not has_naf_free_constraint:
-        if any(flag and head & (head - 1) for head, flag in zip(heads, notfree)):
-            rules = list(zip(heads, poss, nafs, notfree))
-            contradictory = not _has_consistent_model(forced, free_mask, conflict_first, rules)
+    # a consistent answer set is a consistent model of the NAF-free rules
+    if not has_naf_free_constraint and not answers:
+        naf_free = [(head, pos) for head, pos, flag in zip(heads, poss, notfree) if flag]
+        if any(head & (head - 1) for head, _ in naf_free):
+            contradictory = not _has_consistent_model(forced, free_mask, conflict_first, naf_free)
         else:
             # the NAF-free rules are definite: forced is their least model
             contradictory = forced & (forced >> 1) & conflict_first != 0
@@ -105,28 +101,40 @@ def _least_models(
     poss: Sequence[int],
     nafs: Sequence[int],
 ) -> list[int]:
-    """Consistent answer sets of a head-cycle-free program whose forced
-    core is consistent, largest mask first.
+    """Consistent answer sets of a program whose forced core is
+    consistent, largest mask first.
 
     Branches on the guessed bits one at a time.  Under a partial guess
-    (true, false), the rules whose NAF bits are all guessed false fire in
-    every completion, so their least model `lower` is in every answer set
-    it leads to; the rules no true bit blocks may fire, so their least
-    model `upper` bounds every such answer set.  An open bit in `lower`
-    must be true and one outside `upper` false; a guess that contradicts
-    either bound, or makes `lower` inconsistent, or leaves a constraint
-    violated whatever the open bits are, has no answer set.  Once no bit
-    is open, lower == upper is the least model of the reduct the guess
-    selects, and an answer set.
+    (true, false), the shifted rules whose NAF bits are all guessed false
+    fire in every completion, so their least model `lower` is in every
+    answer set it leads to.  The rules no true bit blocks may fire, so
+    their least model `upper` bounds every such answer set; a program
+    with a head cycle takes these rules unshifted, since minimality keeps
+    an answer set inside their closure.  An open bit in `lower` must be
+    true and one outside `upper` false; a guess that contradicts either
+    bound, or makes `lower` inconsistent, or leaves a constraint violated
+    whatever the open bits are, has no answer set.  Once no bit is open,
+    a head-cycle-free program has lower == upper, the least model of the
+    reduct the guess selects, and an answer set.  Any other program has
+    one candidate, the guess closed under the single-head rules it does
+    not block; it is kept when it agrees with the guess, is consistent, is
+    a model of its reduct and no proper subset above forced is (Leone,
+    Rullo & Scarcello 1997).
     """
     constraints: list[tuple[int, int]] = []
     shifted: list[tuple[int, int, int]] = []
+    disjunctive = 0
     for head, pos, naf in zip(heads, poss, nafs):
         if head == 0:
             constraints.append((pos, naf))
         else:
             for bit in _bits(head):
                 shifted.append((bit, pos, naf | (head ^ bit)))
+            if head & (head - 1):
+                disjunctive |= head
+    hcf = _head_cycle_free(heads, poss)
+    rules = list(zip(heads, poss, nafs))
+    bounding = shifted if hcf else [rule for rule in rules if rule[0]]
     guess = 0
     for _, _, naf in shifted:
         guess |= naf
@@ -136,7 +144,7 @@ def _least_models(
     def search(true: int, false: int) -> None:
         while True:
             lower = _closure(forced, [(h, p) for h, p, naf in shifted if naf & ~false == 0])
-            upper = _closure(forced, [(h, p) for h, p, naf in shifted if naf & true == 0])
+            upper = _closure(forced, [(h, p) for h, p, naf in bounding if naf & true == 0])
             if lower & false or true & ~upper or lower & (lower >> 1) & conflict_first:
                 return
             if any(pos & ~lower == 0 and naf & upper & ~false == 0 for pos, naf in constraints):
@@ -146,12 +154,22 @@ def _least_models(
                 break
             true |= undecided & lower
             false |= undecided & ~upper
-        if undecided == 0:
+        if undecided:
+            bit = undecided & -undecided
+            search(true | bit, false)
+            search(true, false | bit)
+        elif hcf:
             answers.append(lower)
-            return
-        bit = undecided & -undecided
-        search(true | bit, false)
-        search(true, false | bit)
+        else:
+            # the shifted rules hold disjunctive head bits under NAF, so the
+            # guess has set them and single-head rules close it
+            single = [(h, p) for h, p, naf in rules if naf & true == 0 and not h & (h - 1)]
+            m = _closure(true, single)
+            if m & false or m & (m >> 1) & conflict_first:
+                return
+            reduct = [(h, p) for h, p, naf in rules if naf & m == 0]
+            if _is_model(m, reduct) and _is_minimal(m, forced, disjunctive, reduct):
+                answers.append(m)
 
     search(forced, 0)
     answers.sort(reverse=True)
@@ -169,7 +187,9 @@ def _closure(model: int, rules: list[tuple[int, int]]) -> int:
             return model
 
 
-def _has_consistent_model(forced: int, free_mask: int, conflict_first: int, rules) -> bool:
+def _has_consistent_model(
+    forced: int, free_mask: int, conflict_first: int, naf_free: list[tuple[int, int]]
+) -> bool:
     """Whether some consistent set above forced satisfies every NAF-free rule.
 
     Such a model cut down to forced plus the NAF-free heads is still one,
@@ -178,80 +198,42 @@ def _has_consistent_model(forced: int, free_mask: int, conflict_first: int, rule
     if forced & (forced >> 1) & conflict_first:
         return False
     naf_free_heads = 0
-    for head, _, _, flag in rules:
-        if flag:
-            naf_free_heads |= head
+    for head, _ in naf_free:
+        naf_free_heads |= head
     mask = free_mask & naf_free_heads
     s = mask
     while True:
         cand = forced | s
-        if cand & (cand >> 1) & conflict_first == 0:
-            for head, pos, naf, flag in rules:
-                if flag and pos & ~cand == 0 and head & cand == 0:
-                    break
-            else:
-                return True
+        if cand & (cand >> 1) & conflict_first == 0 and _is_model(cand, naf_free):
+            return True
         if s == 0:
             return False
         s = (s - 1) & mask
 
 
-def _generate_and_test(
-    forced: int,
-    free_mask: int,
-    conflict_first: int,
-    heads: Sequence[int],
-    poss: Sequence[int],
-    nafs: Sequence[int],
-    notfree: Sequence[int],
-    has_naf_free_constraint: bool,
-) -> tuple[list[int], bool]:
-    """Generate and test, for any program.
+def _is_model(model: int, rules: list[tuple[int, int]]) -> bool:
+    """Whether model satisfies every NAF-free rule (head, pos)."""
+    for head, pos in rules:
+        if pos & ~model == 0 and head & model == 0:
+            return False
+    return True
 
-    Candidates are forced | s for every submask s of free_mask; a
-    candidate is an answer set when it satisfies every rule and no
-    proper subset above `forced` satisfies its reduct.
+
+def _is_minimal(model: int, forced: int, disjunctive: int, reduct: list[tuple[int, int]]) -> bool:
+    """Whether no proper subset of model is a model of the reduct.
+
+    Such a subset holds forced and is closed under the reduct's
+    single-head rules, and it stays a model when cut down to the least
+    such set that keeps its bits of disjunctive heads.  So only the
+    closures of forced and each submask of those bits are tested.
     """
-    rules = list(zip(heads, poss, nafs, notfree))
-    answers: list[int] = []
-
-    if forced & (forced >> 1) & conflict_first == 0:
-        s = free_mask
-        while True:
-            cand = forced | s
-            if cand & (cand >> 1) & conflict_first == 0:
-                ok = True
-                for head, pos, naf, _ in rules:
-                    if naf & cand == 0 and pos & ~cand == 0 and head & cand == 0:
-                        ok = False
-                        break
-                if ok and _is_minimal(cand, s, forced, rules):
-                    answers.append(cand)
-            if s == 0:
-                break
-            s = (s - 1) & free_mask
-
-    contradictory = False
-    if not has_naf_free_constraint:
-        contradictory = not _has_consistent_model(forced, free_mask, conflict_first, rules)
-    return answers, contradictory
-
-
-def _is_minimal(cand: int, s: int, forced: int, rules) -> bool:
-    if s == 0:
-        return True
-    reduct = [(h, p) for h, p, naf, _ in rules if naf & cand == 0]
-    y = (s - 1) & s
+    definite = [(head, pos) for head, pos in reduct if not head & (head - 1)]
+    choices = model & disjunctive & ~forced
+    y = choices
     while True:
-        sub = forced | y
-        ok = True
-        for head, pos in reduct:
-            if pos & ~sub == 0 and head & sub == 0:
-                ok = False
-                break
-        if ok:
+        sub = _closure(forced | y, definite)
+        if sub != model and _is_model(sub, reduct):
             return False
         if y == 0:
-            break
-        y = (y - 1) & s
-    return True
+            return True
+        y = (y - 1) & choices

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from abdukit.core import Atom, Literal, NafLiteral, Program, Rule
+from abdukit.abduction import AbductiveProgram, build_update_program
+from abdukit.config import RunConfig
+from abdukit.core import Atom, Literal, LiteralUniverse, NafLiteral, Program, Rule, fact
 
 
 def random_ground_program(
@@ -80,3 +82,22 @@ def random_abduction_instance(
     ]
     goal = rng.choice(goal_pool) if goal_pool else Literal(atoms[0], True)
     return program, abducible_literals, goal
+
+
+def head_cycle_repairs(rng: random.Random, config: RunConfig) -> list[Program]:
+    """The update programs of two repairs of a small corpus program whose
+    disjunctive head x ; y is closed into a head cycle by x :- y. y :- x.:
+    every rule removable, and every fact over its literals addable."""
+    while True:
+        program = random_ground_program(rng, max_atoms=4, max_rules=3)
+        disjunctive = [r for r in program.sorted_rules() if len(r.head) == 2]
+        if disjunctive:
+            break
+    x, y = sorted(rng.choice(disjunctive).head, key=Literal.key)
+    cycle = {Rule([x], [NafLiteral(y, False)]), Rule([y], [NafLiteral(x, False)])}
+    program = Program(program.rules | cycle)
+    universe = Program(fact(l) for l in LiteralUniverse.from_program(program))
+    return [
+        build_update_program(AbductiveProgram(program, abducibles), config).rules
+        for abducibles in (program, universe)
+    ]

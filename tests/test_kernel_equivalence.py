@@ -1,9 +1,9 @@
 """The least-model search must agree bit for bit with generate and test.
 
-kernel_py.enumerate_answer_sets searches head-cycle-free programs by
-least models and hands every other program to kernel_py._generate_and_test,
-which tests every candidate set and is kept as the oracle here: same
-masks, in the same order, and the same answer on the contradictory set.
+kernel_py.enumerate_answer_sets searches every program, with or without
+a head cycle.  kernel_oracle.generate_and_test tests every candidate set
+over the same encoding and is the oracle here: same masks, in the same
+order, and the same answer on the contradictory set.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from abdukit.core import NafLiteral, Program, Rule, fact
 from abdukit.parser import parse
 from abdukit.solver import CONTRADICTORY, answer_sets, kernel_py, reference_answer_sets
 from abdukit.solver.encode import encode
+from abdukit.updates import FACT_UNIVERSE, remove_inconsistency
 
-from corpus import random_abduction_instance, random_ground_program
+from corpus import head_cycle_repairs, random_abduction_instance, random_ground_program
+from kernel_oracle import generate_and_test as _oracle
 
 
 def _args(enc) -> tuple:
@@ -43,7 +45,7 @@ def search(enc):
 
 
 def generate_and_test(enc):
-    return kernel_py._generate_and_test(*_args(enc))
+    return _oracle(*_args(enc))
 
 
 def _disjunctive(enc) -> bool:
@@ -52,17 +54,6 @@ def _disjunctive(enc) -> bool:
 
 def _head_cycle_free(enc) -> bool:
     return kernel_py._head_cycle_free(enc.heads, enc.poss)
-
-
-@pytest.fixture
-def fallback_calls(monkeypatch):
-    """Records every call the search hands to generate and test."""
-    calls = []
-    fallback = kernel_py._generate_and_test
-    monkeypatch.setattr(
-        kernel_py, "_generate_and_test", lambda *args: calls.append(args) or fallback(*args)
-    )
-    return calls
 
 
 @pytest.fixture
@@ -91,7 +82,7 @@ def test_kernels_agree_on_edge_encodings():
         assert search(enc) == generate_and_test(enc)
 
 
-def test_kernels_agree_on_head_cycle_free_disjunction(fallback_calls):
+def test_kernels_agree_on_head_cycle_free_disjunction():
     rng = random.Random(20261019)
     seen = 0
     while seen < 1000:
@@ -100,8 +91,6 @@ def test_kernels_agree_on_head_cycle_free_disjunction(fallback_calls):
             continue
         seen += 1
         assert search(enc) == generate_and_test(enc)
-    # the oracle calls above are the only ones: the search took every program
-    assert len(fallback_calls) == seen
 
 
 HEAD_CYCLES = [
@@ -112,15 +101,19 @@ HEAD_CYCLES = [
 ]
 
 
-@pytest.mark.parametrize("text", HEAD_CYCLES)
-def test_program_with_a_head_cycle_takes_the_fallback(text, fallback_calls, empty_cache):
-    p = parse(text).program
-    assert not _head_cycle_free(encode(p))
+def _agrees_with_oracle_and_reference(p: Program) -> None:
+    enc = encode(p)
+    assert not _head_cycle_free(enc)
+    assert search(enc) == generate_and_test(enc)
     assert answer_sets(p) == reference_answer_sets(p)
-    assert len(fallback_calls) == 1
 
 
-def test_random_head_cycles_take_the_fallback(fallback_calls, empty_cache):
+@pytest.mark.parametrize("text", HEAD_CYCLES)
+def test_program_with_a_head_cycle_matches_the_oracle(text, empty_cache):
+    _agrees_with_oracle_and_reference(parse(text).program)
+
+
+def test_random_head_cycles_match_the_oracle(empty_cache):
     rng = random.Random(20261024)
     seen = 0
     while seen < 50:
@@ -128,8 +121,7 @@ def test_random_head_cycles_take_the_fallback(fallback_calls, empty_cache):
         if _head_cycle_free(encode(p)):
             continue
         seen += 1
-        assert answer_sets(p) == reference_answer_sets(p)
-        assert len(fallback_calls) == seen
+        _agrees_with_oracle_and_reference(p)
 
 
 def _disjunctive_choices(rules: Program) -> Program:
@@ -215,3 +207,38 @@ def test_contradictory_set_ignores_bits_outside_naf_free_heads(empty_cache):
     result = answer_sets(p, RunConfig(max_universe=64))
     assert time.process_time() - start < 1.0
     assert result.sets == (CONTRADICTORY,)
+
+
+def _repair_programs(count: int, seed: int) -> list[Program]:
+    cfg = RunConfig(max_universe=30)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        for rules in head_cycle_repairs(rng, cfg):
+            enc = encode(rules)
+            # generate and test visits 2^free-bits candidates
+            if bin(enc.free_mask).count("1") <= 14 and not _head_cycle_free(enc):
+                out.append(rules)
+    return out
+
+
+def test_kernels_agree_on_head_cycle_repair_programs():
+    with_answers = 0
+    for rules in _repair_programs(150, seed=20261026):
+        enc = encode(rules)
+        masks, contradictory = search(enc)
+        assert (masks, contradictory) == generate_and_test(enc)
+        with_answers += len(masks) > 1
+    # most keep several answer sets, so the leaf test is checked, not only pruning
+    assert with_answers > 100
+
+
+def test_head_cycle_repair_is_fast(empty_cache):
+    # 28 free bits and a head cycle: generate and test took about a minute
+    p = parse(
+        "a0 ; a3 :- a1, a2, not -a2, not -a3.  a1.  a1 ; a2 :- a0, -a3, not -a1, not -a2."
+    ).program
+    start = time.process_time()
+    solutions = remove_inconsistency(p, FACT_UNIVERSE, RunConfig(max_universe=30))
+    assert time.process_time() - start < 2.0
+    assert [str(s.delta) for s in solutions] == ["(no change)"]

@@ -7,7 +7,7 @@ import pytest
 
 from abdukit import solver
 from abdukit.config import RunConfig
-from abdukit.core import Atom, Literal, NafLiteral, Program, Rule, var
+from abdukit.core import Atom, Builtin, Literal, NafLiteral, Program, Rule, integer, var
 from abdukit.parser import parse
 from abdukit.solver import (
     CONTRADICTORY,
@@ -18,9 +18,7 @@ from abdukit.solver import (
     consistent,
     credulous_holds,
     entails,
-    reduct,
     reference_answer_sets,
-    satisfies,
 )
 from abdukit.solver.encode import encode
 
@@ -33,16 +31,6 @@ def prog(text: str) -> Program:
 
 def lit(name: str, positive: bool = True) -> Literal:
     return Literal(Atom(name), positive)
-
-
-def interp(*names) -> Interpretation:
-    out = []
-    for n in names:
-        if n.startswith("-"):
-            out.append(lit(n[1:], positive=False))
-        else:
-            out.append(lit(n))
-    return Interpretation(frozenset(out))
 
 
 def literal_sets(result):
@@ -111,32 +99,21 @@ def test_sorting_smallest_first():
     assert r.sets[0].literals == frozenset([lit("q")])
 
 
-def test_satisfies_basics():
-    r = next(iter(prog("p :- q, not s.")))
-    assert satisfies(interp(), r)
-    assert satisfies(interp("q", "p"), r)
-    assert not satisfies(interp("q"), r)
-    assert satisfies(interp("q", "s"), r)
+def test_answer_sets_rejects_non_ground():
+    with_variable = Rule([Literal(Atom("p", (var("X"),)))], [])
+    with_builtin = Rule([lit("p")], [Builtin("<", integer(1), integer(2))])
+    for r in (with_variable, with_builtin):
+        with pytest.raises(NonGroundRule):
+            answer_sets(Program([r]))
 
 
-def test_satisfies_marker():
-    assert satisfies(CONTRADICTORY, next(iter(prog("p."))))
-    assert satisfies(CONTRADICTORY, next(iter(prog(":- q, not r."))))
-    assert not satisfies(CONTRADICTORY, next(iter(prog(":- q."))))
-
-
-def test_satisfies_rejects_non_ground():
-    r = Rule([Literal(Atom("p", (var("X"),)))], [])
-    with pytest.raises(NonGroundRule):
-        satisfies(interp(), r)
-
-
-def test_reduct():
-    p = prog("p :- q, not r. q. s :- not q.")
-    red = reduct(p, interp("q", "p"))
-    assert {str(r) for r in red} == {"p :- q.", "q."}
-    red_marker = reduct(p, CONTRADICTORY)
-    assert {str(r) for r in red_marker} == {"q."}
+def reduct(p: Program, s: Interpretation) -> Program:
+    """The rules whose NAF part misses s, with NAF stripped."""
+    return Program(
+        Rule(r.head, [NafLiteral(l, False) for l in r.body_pos()])
+        for r in p.rules
+        if not r.body_naf() & s.literals
+    )
 
 
 def test_answer_set_is_fixpoint_of_its_reduct():
