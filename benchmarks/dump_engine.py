@@ -15,6 +15,9 @@ Per instance it prints:
            setting;
   filter   u_minimal_filter on the answer sets of the same program's
            update program;
+  rules    the abduce lines of a corpus abductive program whose
+           abducibles also hold rules and disjunctive facts, drawn from
+           a generator of its own so the other lines keep their bytes;
   solve    answer_sets of a corpus program, then its consistent read and
            the entails and credulous_holds reads of every literal it holds,
            their complements and one absent literal;
@@ -53,7 +56,11 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from corpus import random_abduction_instance, random_ground_program
+from corpus import (
+    random_abduction_instance,
+    random_ground_program,
+    random_rule_abduction_instance,
+)
 from test_cli import FIXTURES
 
 from abdukit import cli, updates
@@ -101,29 +108,39 @@ def _solutions(sols) -> str:
     return " | ".join("%s => %s" % (s.delta, _rules(s.updated_program)) for s in sols) or "(none)"
 
 
-def abduce_lines(i: int, rng: random.Random):
-    program, abducible_literals, goal = random_abduction_instance(rng)
-    ap = AbductiveProgram(program, [fact(l) for l in abducible_literals])
+def _abduce(label: str, i: int, ap: AbductiveProgram, goal: Literal, cfg: RunConfig):
     observations = [
         (POSITIVE, Observation.positive(goal), explanations),
         (NEGATIVE, Observation.negative(goal), anti_explanations),
         (BOT, Observation.bot(), anti_explanations),
     ]
-    cfg = RunConfig(max_universe=30)
     for kind, obs, solve in observations:
         # bot has no skeptical mode
         for mode in (CREDULOUS,) if kind == BOT else (CREDULOUS, SKEPTICAL):
             for minimal in (True, False):
                 shown = _show(lambda: _explained(solve(ap, obs, mode, minimal, cfg)))
-                yield "abduce %d %s %s %s minimal=%s: %s" % (
-                    i, kind, obs, mode, minimal, shown
+                yield "%s %d %s %s %s minimal=%s: %s" % (
+                    label, i, kind, obs, mode, minimal, shown
                 )
+
+
+def abduce_lines(i: int, rng: random.Random):
+    program, abducible_literals, goal = random_abduction_instance(rng)
+    ap = AbductiveProgram(program, [fact(l) for l in abducible_literals])
+    cfg = RunConfig(max_universe=30)
+    yield from _abduce("abduce", i, ap, goal, cfg)
 
     def u_minimal():
         up = build_update_program(ap, cfg)
         return _sets(u_minimal_filter(answer_sets(up.rules, cfg), up.update_atoms))
 
     yield "filter %d: %s" % (i, _show(u_minimal))
+
+
+def rules_lines(i: int, rng: random.Random):
+    program, abducibles, goal = random_rule_abduction_instance(rng)
+    ap = AbductiveProgram(program, abducibles)
+    yield from _abduce("rules", i, ap, goal, RunConfig(max_universe=30))
 
 
 def solve_lines(i: int, rng: random.Random):
@@ -244,6 +261,7 @@ def dump(instances: int, seed: int):
         yield from abduce_lines(i, rng)
         yield from solve_lines(i, rng)
         yield from update_lines(i, rng)
+        yield from rules_lines(i, random.Random("rules %d %d" % (seed, i)))
     yield from cli_lines()
 
 

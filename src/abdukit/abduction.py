@@ -7,12 +7,16 @@ and stays consistent.  A negative observation is anti-explained by making
 G underivable.  Both come in credulous (true in some answer set) and
 skeptical (true in every answer set) variants.
 
-The engine computes them by transformation: abducible rules are named
-away so only abducible facts remain, then each ground abducible becomes a
-choice between itself and a shadow literal, with update atoms recording
-additions (+a) and removals (-a) relative to P.  The update program
-takes nothing from the observation but the constants P lacks.  It is solved
-once, and every observation kind and mode is read off its answer sets:
+The engine computes them by transformation.  One naming pass leaves
+only abducible facts whose literals head no rule but their own fact:
+every abducible rule is named away, and so is every abducible fact
+whose literal some other rule may derive.  Each ground abducible then
+becomes a choice between itself and a shadow literal, with update atoms
+recording additions (+a) and removals (-a) relative to P; since nothing
+else derives an abducible, an update atom holds exactly when its choice
+changes P.  The update program takes nothing from the observation but
+the constants P lacks.  It is solved once, and every observation kind
+and mode is read off its answer sets:
 grouped by the pair (E, F) their update atoms record, a group holds the
 answer sets of P changed by that pair, so the pair explains G
 credulously when some set of its group contains G and skeptically when
@@ -61,7 +65,6 @@ SKEPTICAL = "skeptical"
 # internal predicates; the parser reserves the "__" prefix so user programs
 # can never collide with these
 _NAME = "__n%d"
-_FRESH = "__a%d"
 _SHADOW = "__not%d_%s"
 _PLUS = "__add%d_%s"
 _MINUS = "__del%d_%s"
@@ -155,9 +158,10 @@ class AbductiveProgram:
         return cached
 
     def satisfies_assumptions(self) -> bool:
-        """Whether no abducible occurs in the head of a non-hypothesis rule
-        and every all-abducible disjunctive fact is itself abducible."""
-        return not _offending_patterns(self) and not _unregistered_disjunctive_facts(self)
+        """Whether no abducible fact's literal unifies with a head of a rule
+        of the program or the abducibles other than a single-head fact, so
+        that each ground abducible is derived by its own choice only."""
+        return not _offending_patterns(self)
 
 
 @dataclass(frozen=True)
@@ -333,97 +337,24 @@ def _new_constants(ap: AbductiveProgram, literal: Literal | None) -> frozenset[T
 
 
 # ---------------------------------------------------------------------------
-# the two structural assumptions on abductive programs
+# the structural assumption on abductive programs
 
 
-def _offending_patterns(ap: AbductiveProgram) -> list[Literal]:
-    """Abducible fact patterns that occur in the head of some rule which is
-    neither an abducible fact nor an all-abducible disjunctive fact."""
+def _offending_patterns(ap: AbductiveProgram) -> frozenset[Literal]:
+    """Abducible fact patterns that unify with a head of some rule of
+    P or A that is not a single-head fact."""
     patterns = ap.fact_patterns()
-    offending: dict = {}
-    for r in ap.program:
-        if not r.head:
-            continue
-        hits = [p for p in patterns if any(_unifiable(p, h) for h in r.head)]
-        if not hits:
-            continue
-        all_abducible = all(any(_unifiable(p, h) for p in patterns) for h in r.head)
-        if r.body or not all_abducible:
-            for p in hits:
-                offending[p.key()] = p
-    return [offending[k] for k in sorted(offending)]
-
-
-def _unregistered_disjunctive_facts(ap: AbductiveProgram) -> list[Rule]:
-    patterns = ap.fact_patterns()
-    out = []
-    for r in ap.program:
-        if r.is_fact and len(r.head) > 1:
-            if all(any(_unifiable(p, h) for p in patterns) for h in r.head) and r not in ap.abducibles:
-                out.append(r)
-    return sorted(out, key=Rule.key)
-
-
-def _normalize(ap: AbductiveProgram) -> tuple[AbductiveProgram, tuple[tuple[Literal, Literal], ...]]:
-    """Establish both assumptions, returning (fixed program, renames).
-
-    Each offending abducible pattern L stops being abducible: a fresh
-    abducible L' and a bridge rule L <- L' are introduced, and L is
-    replaced by L' inside every fact made of abducibles only.  renames
-    maps each fresh pattern back to its source pattern.
-    """
-    offending = _offending_patterns(ap)
-    renames: list[tuple[Literal, Literal]] = []
-    program_rules = list(ap.program)
-    abducible_rules = list(ap.abducibles)
-    if offending:
-        patterns = ap.fact_patterns()
-
-        def abducible_only_fact(r: Rule) -> bool:
-            return r.is_fact and all(any(_unifiable(p, h) for p in patterns) for h in r.head)
-
-        replacements: dict[Literal, Literal] = {}
-        for i, pat in enumerate(offending, start=1):
-            fresh = Literal(Atom(_FRESH % i, pat.atom.args))
-            replacements[pat] = fresh
-            renames.append((fresh, pat))
-            program_rules.append(Rule([pat], [NafLiteral(fresh, False)]))
-            abducible_rules = [r for r in abducible_rules if r != fact(pat)]
-            abducible_rules.append(fact(fresh))
-
-        def rewrite(lit: Literal) -> Literal:
-            for pat, fresh in replacements.items():
-                binding = _match(pat, lit)
-                if binding is not None:
-                    return fresh.substitute(binding)
-            return lit
-
-        rewritten = []
-        for r in program_rules:
-            if abducible_only_fact(r):
-                rewritten.append(Rule([rewrite(h) for h in r.head], ()))
-            else:
-                rewritten.append(r)
-        program_rules = rewritten
-        abducible_rules = [
-            Rule([rewrite(h) for h in r.head], r.body) if r.is_fact else r
-            for r in abducible_rules
-        ]
-    fixed = AbductiveProgram(Program(program_rules), Program(abducible_rules))
-    for extra in _unregistered_disjunctive_facts(fixed):
-        abducible_rules.append(extra)
-        fixed = AbductiveProgram(fixed.program, Program(abducible_rules))
-    return fixed, tuple(renames)
-
-
-def normalize_abducible_heads(ap: AbductiveProgram) -> AbductiveProgram:
-    """Rewrite ap so both structural assumptions hold (identity if they do)."""
-    fixed, _ = _normalize(ap)
-    return fixed
+    return frozenset(
+        p
+        for r in itertools.chain(ap.program, ap.abducibles)
+        if not (r.is_fact and len(r.head) == 1)
+        for p in patterns
+        if any(_unifiable(p, h) for h in r.head)
+    )
 
 
 # ---------------------------------------------------------------------------
-# normal form: name away abducible rules and disjunctive facts
+# normal form: name away every abducible that is not its own choice
 
 
 def _ordered_vars(rule: Rule) -> list[str]:
@@ -433,19 +364,32 @@ def _ordered_vars(rule: Rule) -> list[str]:
 def normal_form(
     ap: AbductiveProgram, config: RunConfig | None = None
 ) -> tuple[AbductiveProgram, NameMap]:
-    """Replace every non-fact abducible R by a name atom: R's body gains the
-    name, the name becomes the abducible, and a name fact is added when R
-    is part of the program.  Change pairs correspond one to one."""
+    """Replace abducibles by name atoms until no abducible literal heads a
+    rule other than its own fact.
+
+    Every abducible R that is not a single-head fact is named, and after
+    those every single-head abducible fact whose literal unifies with a
+    head of a rule of P or A that is not a single-head fact: R's body
+    gains the name, the name becomes the abducible, and a name fact is
+    added when R is part of the program.  Change pairs correspond one to
+    one, and the NameMap takes each name instance back to its rule."""
     cfg = config or DEFAULT_CONFIG
+    offending = _offending_patterns(ap)
     named = sorted(
         (r for r in ap.abducibles if not (r.is_fact and len(r.head) == 1)), key=Rule.key
+    )
+    named += sorted(
+        (r for r in ap.abducibles if r.is_fact and len(r.head) == 1 and r.head <= offending),
+        key=Rule.key,
     )
     if not named:
         return ap, NameMap(())
     entries: list[tuple[Rule, Atom]] = []
     new_program: list[Rule] = [r for r in ap.program if r not in named]
     new_abducibles: list[Rule] = [r for r in ap.abducibles if r not in named]
-    constants = ap.program.constants() | ap.abducibles.constants()
+    # computed on first use only: computing them caches every literal of
+    # the caller's programs
+    constants = functools.cache(lambda: ap.program.constants() | ap.abducibles.constants())
     for i, r in enumerate(named, start=1):
         name = Atom(_NAME % i, tuple(var(v) for v in _ordered_vars(r)))
         entries.append((r, name))
@@ -454,11 +398,11 @@ def normal_form(
         new_abducibles.append(fact(name_lit))
         if r in ap.program:
             new_program.append(fact(name_lit))
-        elif r.variables() and constants:
+        elif r.variables() and constants():
             # the pattern is absent but single instances may still be present;
             # those instances leave the program and keep their name instead
             one = NameMap(((r, name),))
-            for name_inst in _ground_heads(Program([fact(name_lit)]), constants, cfg):
+            for name_inst in _ground_heads(Program([fact(name_lit)]), constants(), cfg):
                 inst = one.rule_for(name_inst.atom)
                 if inst in ap.program:
                     new_program = [x for x in new_program if x != inst]
@@ -491,15 +435,15 @@ def _choice_rules(a: Literal) -> list[Rule]:
 def _prepare_cached(
     ap: AbductiveProgram, extra_constants: frozenset[Term], cfg: RunConfig
 ) -> UpdateProgram:
-    """Normalize, name and ground ap over its constants and
-    extra_constants, then emit its update transformation.  Every call
-    with the same arguments returns the same object, so the modes asked
-    of one program share one build and one solve."""
-    fixed, renames = _normalize(ap)
-    nf, name_map = normal_form(fixed, cfg)
+    """Name and ground ap over its constants and extra_constants, then
+    emit its update transformation.  Every call with the same arguments
+    returns the same object, so the modes asked of one program share one
+    build and one solve."""
+    nf, name_map = normal_form(ap, cfg)
     constants = nf.program.constants() | nf.abducibles.constants() | extra_constants
     gp = ground(nf.program, constants, cfg)
-    # normal_form leaves only single-head facts abducible
+    # normal_form leaves only single-head facts abducible, each derived
+    # by its own choice only
     abducible = _ground_heads(nf.abducibles, constants, cfg)
     rules = [
         r
@@ -511,13 +455,13 @@ def _prepare_cached(
         rules += _choice_rules(a)
         added = fact(a) not in gp
         update = _internal_literal(_PLUS if added else _MINUS, a)
-        changes[update.atom] = (added, _resolve(name_map, renames, a))
+        changes[update.atom] = (added, name_map.rule_for(a.atom) or fact(a))
         rules.append(Rule([update], [NafLiteral(a, not added)]))
     return UpdateProgram(Program(rules), changes, cfg)
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
-    """Normalize, name, ground, and emit the update transformation of ap.
+    """Name, ground, and emit the update transformation of ap.
     For an observation whose constants all occur in ap this is the very
     object explanations and anti_explanations solve."""
     return _prepare_cached(ap, frozenset(), config or DEFAULT_CONFIG)
@@ -568,7 +512,7 @@ def u_minimal_filter(result: AnswerSetResult, ua: Iterable[Atom]) -> AnswerSetRe
 
 
 # ---------------------------------------------------------------------------
-# extraction, side conditions, and resolution back to source rules
+# extraction and side conditions
 
 
 def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None:
@@ -577,28 +521,6 @@ def _check_literal_non_abducible(ap: AbductiveProgram, literal: Literal) -> None
             raise AbducibleObservation(
                 "observation %s is an instance of the abducible %s" % (literal, pattern)
             )
-
-
-def _resolve(
-    name_map: NameMap, renames: tuple[tuple[Literal, Literal], ...], lit: Literal
-) -> Rule:
-    """The source rule of an abducible instance: its named rule or its
-    fact, with every fresh literal _normalize put in the head mapped back
-    to its source, as it is in a rewritten disjunctive fact."""
-    rule = name_map.rule_for(lit.atom)
-    if rule is None:
-        rule = fact(lit)
-    if not renames:
-        return rule
-
-    def source(h: Literal) -> Literal:
-        for fresh, pattern in renames:
-            binding = _match(fresh, h)
-            if binding is not None:
-                return pattern.substitute(binding)
-        return h
-
-    return Rule([source(h) for h in rule.head], rule.body)
 
 
 def _finish(

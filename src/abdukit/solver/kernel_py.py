@@ -10,10 +10,9 @@ yields the least model of the reduct it selects.  Any other program
 yields one candidate per complete guess, kept when no proper subset of
 it is a model of its reduct.  The contradictory set is an answer set
 when no consistent one is, the NAF-free rules include no constraint and
-they have no consistent model: when none of them is disjunctive that
-means `forced` is inconsistent, and otherwise only the free bits of
-their heads are searched.  Masks are Python ints, so the head zone has
-no width limit.
+they have no consistent model, which one search over the free bits of
+their heads decides, starting from `forced`.  Masks are Python ints, so
+the head zone has no width limit.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ def enumerate_answer_sets(
     # a consistent answer set is a consistent model of the NAF-free rules
     if not has_naf_free_constraint and not answers:
         naf_free = [(head, pos) for head, pos, flag in zip(heads, poss, notfree) if flag]
-        if any(head & (head - 1) for head, _ in naf_free):
-            contradictory = not _has_consistent_model(forced, free_mask, conflict_first, naf_free)
-        else:
-            # the NAF-free rules are definite: forced is their least model
-            contradictory = forced & (forced >> 1) & conflict_first != 0
+        contradictory = not _has_consistent_model(forced, free_mask, conflict_first, naf_free)
     return answers, contradictory
 
 
@@ -193,7 +188,9 @@ def _has_consistent_model(
     """Whether some consistent set above forced satisfies every NAF-free rule.
 
     Such a model cut down to forced plus the NAF-free heads is still one,
-    so only the free bits of those heads are enumerated.
+    so only the free bits of those heads are enumerated, upward from
+    forced itself: when the NAF-free rules are definite, forced is their
+    least model and the first test decides.
     """
     if forced & (forced >> 1) & conflict_first:
         return False
@@ -201,14 +198,14 @@ def _has_consistent_model(
     for head, _ in naf_free:
         naf_free_heads |= head
     mask = free_mask & naf_free_heads
-    s = mask
+    s = 0
     while True:
         cand = forced | s
         if cand & (cand >> 1) & conflict_first == 0 and _is_model(cand, naf_free):
             return True
+        s = (s - mask) & mask
         if s == 0:
             return False
-        s = (s - 1) & mask
 
 
 def _is_model(model: int, rules: list[tuple[int, int]]) -> bool:

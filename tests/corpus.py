@@ -84,6 +84,35 @@ def random_abduction_instance(
     return program, abducible_literals, goal
 
 
+def random_rule_abduction_instance(
+    rng: random.Random,
+    max_atoms: int = 5,
+    max_rules: int = 6,
+    max_abducibles: int = 3,
+):
+    """A ground abductive triple (program, abducible rules, goal): the fact
+    abducibles of random_abduction_instance, 0-2 rules of the program, 0-1
+    rule not in it and, one time in three, a disjunctive fact of two
+    abducible literals, added to the program and half the time to the
+    abducibles too."""
+    program, abducible_literals, goal = random_abduction_instance(
+        rng, max_atoms=max_atoms, max_rules=max_rules, max_abducibles=max_abducibles
+    )
+    rules = list(program.sorted_rules())
+    abducibles = [fact(l) for l in abducible_literals]
+    abducibles += rng.sample(rules, rng.randint(0, min(2, len(rules))))
+    if rng.random() < 0.5:
+        extra = random_ground_program(rng, max_atoms=max_atoms, max_rules=1).sorted_rules()[0]
+        if extra not in program:
+            abducibles.append(extra)
+    if len(abducible_literals) > 1 and rng.random() < 1 / 3:
+        either = Rule(rng.sample(abducible_literals, 2), [])
+        program = Program(program.rules | {either})
+        if rng.random() < 0.5:
+            abducibles.append(either)
+    return program, abducibles, goal
+
+
 def head_cycle_repairs(rng: random.Random, config: RunConfig) -> list[Program]:
     """The update programs of two repairs of a small corpus program whose
     disjunctive head x ; y is closed into a head cycle by x :- y. y :- x.:

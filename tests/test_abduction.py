@@ -25,7 +25,6 @@ from abdukit.abduction import (
     compile_observations,
     explanations,
     normal_form,
-    normalize_abducible_heads,
     u_minimal_filter,
 )
 from abdukit.config import RunConfig
@@ -135,47 +134,29 @@ def test_explanation_canonicalizes_and_sorts():
 def test_head_occurrence_is_detected():
     ap = ap_from("a :- q.\nq.\n#abducible a.")
     assert not ap.satisfies_assumptions()
-    fixed = normalize_abducible_heads(ap)
+    fixed, names = normal_form(ap)
     assert fixed.satisfies_assumptions()
-    # a is no longer abducible; a fresh hypothesis feeds it through a bridge
+    # a is no longer abducible; its name feeds it through a bridge
     assert fact(Literal(Atom("a"))) not in fixed.abducibles
-    bridges = [r for r in fixed.program if any(str(h) == "a" for h in r.head) and r.body]
-    assert any("__a" in str(r) for r in bridges)
+    assert "a :- __n1." in {str(r) for r in fixed.program}
+    assert names.rule_for(Atom("__n1")) == parse_rule("a.")
 
 
 def test_mixed_disjunctive_fact_is_not_rewritten():
     # the offending fact mentions a non-abducible, so only the abducible
     # status of a changes; the fact itself stays
     ap = ap_from("a; c.\n#abducible a.\n#abducible b.")
-    fixed = normalize_abducible_heads(ap)
+    fixed, _ = normal_form(ap)
     assert parse_rule("a; c.") in fixed.program
     assert fact(Literal(Atom("a"))) not in fixed.abducibles
     assert fact(Literal(Atom("b"))) in fixed.abducibles
     assert fixed.satisfies_assumptions()
 
 
-def test_all_abducible_facts_are_rewritten_and_registered():
-    ap = ap_from("a; b.\na :- q.\nq.\n#abducible a.\n#abducible b.")
-    fixed = normalize_abducible_heads(ap)
-    # a leaves the hypothesis set, so the all-abducible fact a; b is
-    # rewritten with the fresh hypothesis and registered as abducible
-    rewritten = [r for r in fixed.program if r.is_fact and len(r.head) == 2]
-    assert len(rewritten) == 1
-    assert rewritten[0] in fixed.abducibles
-    assert fixed.satisfies_assumptions()
-
-
 def test_conforming_program_is_left_alone():
     ap = ap_from(CHAIN)
     assert ap.satisfies_assumptions()
-    assert normalize_abducible_heads(ap) == ap
-
-
-def test_unregistered_disjunctive_fact_becomes_abducible():
-    ap = ap_from("a; b.\n#abducible a.\n#abducible b.")
-    fixed = normalize_abducible_heads(ap)
-    assert parse_rule("a; b.") in fixed.abducibles
-    assert fixed.satisfies_assumptions()
+    assert normal_form(ap)[0] == ap
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +215,19 @@ a; b.
 """
     )
     nf, names = normal_form(ap)
-    assert {str(r) for r in nf.program} == {"__n1.", "a ; b :- __n1.", "p :- a.", "p :- b."}
-    assert {str(r) for r in nf.abducibles} == {"__n1.", "a.", "b."}
+    # a and b head the named fact, so each is named after it and bridged
+    assert {str(r) for r in nf.program} == {
+        "__n1.",
+        "a ; b :- __n1.",
+        "a :- __n2.",
+        "b :- __n3.",
+        "p :- a.",
+        "p :- b.",
+    }
+    assert {str(r) for r in nf.abducibles} == {"__n1.", "__n2.", "__n3."}
     assert names.rule_for(Atom("__n1")) == parse_rule("a; b.")
+    assert names.rule_for(Atom("__n2")) == parse_rule("a.")
+    assert nf.satisfies_assumptions()
 
 
 def test_normal_form_names_single_present_instances():
@@ -452,6 +443,29 @@ a; b.
     for mode in (CREDULOUS, SKEPTICAL):
         got = anti_explanations(ap, goal, mode, True)
         assert pairs(got) == expect(([], ["a; b."]))
+
+
+def test_abducible_fact_heading_an_abducible_rule_is_named():
+    # a :- b. derives a, so the fact a gets its own name; both additions
+    # explain p, as the oracle says
+    ap = ap_from("b.\np :- a.\n#abducible a.\n#abducible a :- b.\n")
+    assert not ap.satisfies_assumptions()
+    goal = Observation.positive(Literal(Atom("p")))
+    got = explanations(ap, goal)
+    assert pairs(got) == expect((["a."], []), (["a :- b."], []))
+    assert got == brute_force_explanations(ap, goal, CREDULOUS, True)
+
+
+def test_all_abducible_disjunctive_fact_changes_nothing_by_itself():
+    # both answer sets {a} and {b} lack p, so no change is needed; the
+    # disjunctive fact must not record a change of a or b
+    ap = ap_from(
+        "p :- a, b.\na; b.\n#abducible a.\n#abducible b.\n#abducible a; b.\n"
+    )
+    goal = Observation.negative(Literal(Atom("p")))
+    got = anti_explanations(ap, goal)
+    assert pairs(got) == expect(([], []))
+    assert got == brute_force_explanations(ap, goal, CREDULOUS, True)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,15 @@ def test_repair_fact_universe(files, tmp_path, capsys):
     assert "-:- not p." in out
 
 
+def test_repair_fact_universe_keeps_a_consistent_disjunctive_fact(tmp_path, capsys):
+    # a and b head the fact a ; b., which no hypothesis derives or removes
+    path = tmp_path / "either.edp"
+    path.write_text("a ; b.\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["repair", str(path), "--scope", "fact-universe"])
+    assert code == 0
+    assert out == "% solution 1\n(no change)\n% program:\na ; b.\n"
+
+
 # ---------------------------------------------------------------------------
 # transform
 

@@ -22,11 +22,11 @@ from abdukit.abduction import (
     SKEPTICAL,
     AbductiveProgram,
     Observation,
-    _unregistered_disjunctive_facts,
     anti_explanations,
     brute_force_explanations,
     build_update_program,
     explanations,
+    normal_form,
     to_normal_abduction,
     u_minimal_filter,
 )
@@ -34,7 +34,11 @@ from abdukit.config import RunConfig
 from abdukit.core import Atom, Literal, NafLiteral, Program, Rule, fact, ground
 from abdukit.solver import answer_sets
 
-from corpus import random_abduction_instance, random_stratified_nlp
+from corpus import (
+    random_abduction_instance,
+    random_rule_abduction_instance,
+    random_stratified_nlp,
+)
 
 CFG = RunConfig(max_universe=30)
 
@@ -51,12 +55,20 @@ def _instances(count: int, seed: int):
             # observations must not themselves be abducible
             continue
         ap = AbductiveProgram(program, Program([fact(l) for l in abducible_literals]))
-        if _unregistered_disjunctive_facts(ap):
-            # the theory presumes all-abducible disjunctive facts are
-            # themselves abducible; such raw instances are out of scope
-            continue
         made += 1
         yield made, ap, goal
+
+
+def _rule_instances(count: int, seed: int):
+    """Instances whose abducibles hold rules and disjunctive facts too."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        program, abducibles, goal = random_rule_abduction_instance(rng)
+        if fact(goal) in abducibles:
+            continue
+        made += 1
+        yield made, AbductiveProgram(program, abducibles), goal
 
 
 def _pairs(exps) -> set:
@@ -144,6 +156,29 @@ def test_three_routes_agree_on_random_instances():
                 "instance %d %s/%s minimal=%s: update %r translation %r\n%s\nabducibles %s"
                 % (i, kind, mode, minimal, via_update, via_primes, ap.program,
                    [str(r) for r in ap.abducibles])
+            )
+
+
+def test_rule_abducibles_match_the_oracle():
+    for i, ap, goal in _rule_instances(150, seed=20261020):
+        for kind, mode, minimal in _combos():
+            obs = _observe(kind, goal)
+            via_update = _engine(ap, obs, mode, minimal, CFG)
+            via_oracle = brute_force_explanations(ap, obs, mode, minimal, CFG)
+            assert via_update == via_oracle, (
+                "instance %d %s/%s minimal=%s: update %s oracle %s\n%s\nabducibles %s"
+                % (i, kind, mode, minimal, [str(e) for e in via_update],
+                   [str(e) for e in via_oracle], ap.program, [str(r) for r in ap.abducibles])
+            )
+
+
+def test_normal_form_meets_the_assumption_on_both_corpora():
+    corpora = (_instances(300, seed=20260819), _rule_instances(300, seed=20261020))
+    for instances in corpora:
+        for i, ap, _ in instances:
+            nf, _ = normal_form(ap)
+            assert nf.satisfies_assumptions(), "instance %d\n%s\nabducibles %s" % (
+                i, ap.program, [str(r) for r in ap.abducibles]
             )
 
 

@@ -528,13 +528,17 @@ def test_repair_fact_universe_searches_a_wide_update_program():
 
 
 def test_repair_names_the_source_of_a_renamed_disjunctive_fact():
-    # a0 heads a rule, so normalization renames it inside a0 ; a1.; the
-    # removal must name the program's own fact, not the renamed one, or
-    # the fact stays and the repaired program is inconsistent
+    # a0 and a1 head rules, so naming bridges both; the removal must name
+    # the program's own fact a1., and the disjunctive fact a0 ; a1., which
+    # is no fact-universe hypothesis, is never removed
     p = parse("a0 :- a1, -a0.\na0 ; a1.\na1.\n-a0 :- not -a1.").program
-    sols = remove_inconsistency(p, FACT_UNIVERSE, RunConfig(max_universe=24))
-    assert [str(s.delta) for s in sols] == ["-a0 ; a1. -a1.", "+a0. +-a1. -a1."]
+    cfg = RunConfig(max_universe=24)
+    sols = remove_inconsistency(p, FACT_UNIVERSE, cfg)
+    assert [str(s.delta) for s in sols] == ["+-a1. -a1."]
     assert all(consistent(s.updated_program) for s in sols)
+    ap = AbductiveProgram(p, Program(fact(l) for l in LiteralUniverse.from_program(p)))
+    oracle = brute_force_explanations(ap, Observation.bot(), CREDULOUS, True, cfg)
+    assert tuple(s.delta for s in sols) == oracle
 
 
 def test_repair_of_consistent_program_changes_nothing():
