@@ -18,6 +18,10 @@ Per instance it prints:
   rules    the abduce lines of a corpus abductive program whose
            abducibles also hold rules and disjunctive facts, drawn from
            a generator of its own so the other lines keep their bytes;
+  nonground
+           the abduce lines of a non-ground corpus abductive program
+           (patterns, overlapping patterns, builtins, abducible rules),
+           also drawn from a generator of its own;
   solve    answer_sets of a corpus program, then its consistent read and
            the entails and credulous_holds reads of every literal it holds,
            their complements and one absent literal;
@@ -59,6 +63,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from corpus import (
     random_abduction_instance,
     random_ground_program,
+    random_nonground_abduction_instance,
     random_rule_abduction_instance,
 )
 from test_cli import FIXTURES
@@ -141,6 +146,12 @@ def rules_lines(i: int, rng: random.Random):
     program, abducibles, goal = random_rule_abduction_instance(rng)
     ap = AbductiveProgram(program, abducibles)
     yield from _abduce("rules", i, ap, goal, RunConfig(max_universe=30))
+
+
+def nonground_lines(i: int, rng: random.Random):
+    program, abducibles, goal = random_nonground_abduction_instance(rng)
+    ap = AbductiveProgram(program, abducibles)
+    yield from _abduce("nonground", i, ap, goal, RunConfig(max_universe=64))
 
 
 def solve_lines(i: int, rng: random.Random):
@@ -262,6 +273,7 @@ def dump(instances: int, seed: int):
         yield from solve_lines(i, rng)
         yield from update_lines(i, rng)
         yield from rules_lines(i, random.Random("rules %d %d" % (seed, i)))
+        yield from nonground_lines(i, random.Random("nonground %d %d" % (seed, i)))
     yield from cli_lines()
 
 

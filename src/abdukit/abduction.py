@@ -7,11 +7,11 @@ and stays consistent.  A negative observation is anti-explained by making
 G underivable.  Both come in credulous (true in some answer set) and
 skeptical (true in every answer set) variants.
 
-The engine computes them by transformation.  One naming pass leaves
-only abducible facts whose literals head no rule but their own fact:
-every abducible rule is named away, and so is every abducible fact
-whose literal some other rule may derive.  Each ground abducible then
-becomes a choice between itself and a shadow literal, with update atoms
+The engine computes them by transformation.  P and A are grounded first
+and named second, so naming decides on ground instances: every ground
+abducible that is not a single-head fact, or whose literal heads another
+ground rule, is named away.  Each abducible of the named program, a
+ground fact, then becomes a choice between itself and a shadow literal, with update atoms
 recording additions (+a) and removals (-a) relative to P; since nothing
 else derives an abducible, an update atom holds exactly when its choice
 changes P.  The update program takes nothing from the observation but
@@ -26,7 +26,7 @@ one bit test per group.  A group's key, its update-atom bits,
 stays an integer until it is returned: minimal change is the keys no
 other kept key is a strict subset of, decided by one dominance filter
 on integers, and only the pairs returned are decoded, each update atom
-through one table to its source rule.  A brute-force oracle and a
+through one table to its ground rule.  A brute-force oracle and a
 translation to plain introduction-only abduction provide independent
 cross-checks.
 """
@@ -51,7 +51,6 @@ from .core import (
     canonical_form,
     fact,
     ground,
-    var,
 )
 from .solver import AnswerSetResult, answer_sets
 
@@ -157,12 +156,6 @@ class AbductiveProgram:
             object.__setattr__(self, "_fact_patterns", cached)
         return cached
 
-    def satisfies_assumptions(self) -> bool:
-        """Whether no abducible fact's literal unifies with a head of a rule
-        of the program or the abducibles other than a single-head fact, so
-        that each ground abducible is derived by its own choice only."""
-        return not _offending_patterns(self)
-
 
 @dataclass(frozen=True)
 class Explanation:
@@ -203,24 +196,6 @@ class Explanation:
         parts = ["+%s" % r for r in sorted(self.add, key=Rule.key)]
         parts += ["-%s" % r for r in sorted(self.remove, key=Rule.key)]
         return " ".join(parts) if parts else "(no change)"
-
-
-@dataclass(frozen=True)
-class NameMap:
-    """Bijection between abducible rules and their name atoms.
-
-    Each name atom carries exactly the rule's variables, so a ground name
-    instance determines a ground rule instance and back.
-    """
-
-    entries: tuple[tuple[Rule, Atom], ...] = ()
-
-    def rule_for(self, atom: Atom) -> Rule | None:
-        for r, pattern in self.entries:
-            if pattern.predicate == atom.predicate and len(pattern.args) == len(atom.args):
-                binding = {t.name: u for t, u in zip(pattern.args, atom.args)}
-                return r.substitute(binding)
-        return None
 
 
 @dataclass(frozen=True)
@@ -284,34 +259,6 @@ def _match(pattern: Literal, target: Literal) -> dict[str, Term] | None:
     return binding
 
 
-def _unifiable(a: Literal, b: Literal) -> bool:
-    """Whether two literal patterns share a ground instance (renamed apart)."""
-    if a.positive != b.positive:
-        return False
-    if a.atom.predicate != b.atom.predicate or a.atom.arity != b.atom.arity:
-        return False
-    a = a.substitute({n: var("L~" + n) for n in a.variables()})
-    b = b.substitute({n: var("R~" + n) for n in b.variables()})
-    subst: dict[str, Term] = {}
-
-    def walk(t: Term) -> Term:
-        while t.kind == VARIABLE and t.name in subst:
-            t = subst[t.name]
-        return t
-
-    for t, u in zip(a.atom.args, b.atom.args):
-        t, u = walk(t), walk(u)
-        if t == u:
-            continue
-        if t.kind == VARIABLE:
-            subst[t.name] = u
-        elif u.kind == VARIABLE:
-            subst[u.name] = t
-        else:
-            return False
-    return True
-
-
 def _ground_heads(
     facts: Program, constants: Iterable[Term], config: RunConfig
 ) -> frozenset[Literal]:
@@ -337,77 +284,53 @@ def _new_constants(ap: AbductiveProgram, literal: Literal | None) -> frozenset[T
 
 
 # ---------------------------------------------------------------------------
-# the structural assumption on abductive programs
+# normal form: ground, then name every abducible that is not its own choice
 
 
-def _offending_patterns(ap: AbductiveProgram) -> frozenset[Literal]:
-    """Abducible fact patterns that unify with a head of some rule of
-    P or A that is not a single-head fact."""
-    patterns = ap.fact_patterns()
-    return frozenset(
-        p
-        for r in itertools.chain(ap.program, ap.abducibles)
-        if not (r.is_fact and len(r.head) == 1)
-        for p in patterns
-        if any(_unifiable(p, h) for h in r.head)
-    )
-
-
-# ---------------------------------------------------------------------------
-# normal form: name away every abducible that is not its own choice
-
-
-def _ordered_vars(rule: Rule) -> list[str]:
-    return sorted(rule.variables(), key=lambda n: (len(n), n))
+def _single_fact(r: Rule) -> bool:
+    return r.is_fact and len(r.head) == 1
 
 
 def normal_form(
-    ap: AbductiveProgram, config: RunConfig | None = None
-) -> tuple[AbductiveProgram, NameMap]:
-    """Replace abducibles by name atoms until no abducible literal heads a
-    rule other than its own fact.
+    ap: AbductiveProgram,
+    config: RunConfig | None = None,
+    extra_constants: frozenset[Term] = frozenset(),
+) -> tuple[AbductiveProgram, dict[Atom, Rule]]:
+    """Ground P and A over their constants and extra_constants, then
+    name every ground abducible that is not its own choice.
 
-    Every abducible R that is not a single-head fact is named, and after
-    those every single-head abducible fact whose literal unifies with a
-    head of a rule of P or A that is not a single-head fact: R's body
-    gains the name, the name becomes the abducible, and a name fact is
-    added when R is part of the program.  Change pairs correspond one to
-    one, and the NameMap takes each name instance back to its rule."""
+    A ground abducible stays a plain choice when it is a single-head fact
+    whose literal heads no ground rule of P or A other than a single-head
+    fact.  Every other ground abducible r, in Rule.key order, gets a
+    0-ary name: r's body gains the name, the name becomes the abducible,
+    and a name fact is added when r is in ground(P).  So no abducible
+    literal heads any rule but its own fact.  Returns the ground named
+    program and a table from each name atom to its ground rule."""
     cfg = config or DEFAULT_CONFIG
-    offending = _offending_patterns(ap)
-    named = sorted(
-        (r for r in ap.abducibles if not (r.is_fact and len(r.head) == 1)), key=Rule.key
-    )
-    named += sorted(
-        (r for r in ap.abducibles if r.is_fact and len(r.head) == 1 and r.head <= offending),
-        key=Rule.key,
-    )
-    if not named:
-        return ap, NameMap(())
-    entries: list[tuple[Rule, Atom]] = []
-    new_program: list[Rule] = [r for r in ap.program if r not in named]
-    new_abducibles: list[Rule] = [r for r in ap.abducibles if r not in named]
-    # computed on first use only: computing them caches every literal of
-    # the caller's programs
-    constants = functools.cache(lambda: ap.program.constants() | ap.abducibles.constants())
-    for i, r in enumerate(named, start=1):
-        name = Atom(_NAME % i, tuple(var(v) for v in _ordered_vars(r)))
-        entries.append((r, name))
-        name_lit = Literal(name)
-        new_program.append(Rule(r.head, set(r.body) | {NafLiteral(name_lit, False)}))
-        new_abducibles.append(fact(name_lit))
-        if r in ap.program:
-            new_program.append(fact(name_lit))
-        elif r.variables() and constants():
-            # the pattern is absent but single instances may still be present;
-            # those instances leave the program and keep their name instead
-            one = NameMap(((r, name),))
-            for name_inst in _ground_heads(Program([fact(name_lit)]), constants(), cfg):
-                inst = one.rule_for(name_inst.atom)
-                if inst in ap.program:
-                    new_program = [x for x in new_program if x != inst]
-                    new_program.append(fact(name_inst))
-    return AbductiveProgram(Program(new_program), Program(new_abducibles)), NameMap(tuple(entries))
+    constants = ap.program.constants() | ap.abducibles.constants() | extra_constants
+    gp = ground(ap.program, constants, cfg)
+    ga = ground(ap.abducibles, constants, cfg)
+    derived = {
+        lit
+        for r in itertools.chain(gp.rules, ga.rules)
+        if not _single_fact(r)
+        for lit in r.head
+    }
+    program = set(gp.rules)
+    abducibles: list[Rule] = []
+    names: dict[Atom, Rule] = {}
+    for r in ga.sorted_rules():
+        if _single_fact(r) and not r.head & derived:
+            abducibles.append(r)
+            continue
+        name = Literal(Atom(_NAME % (len(names) + 1)))
+        names[name.atom] = r
+        abducibles.append(fact(name))
+        program.add(Rule(r.head, r.body | {NafLiteral(name)}))
+        if r in gp.rules:
+            program.remove(r)
+            program.add(fact(name))
+    return AbductiveProgram(Program(program), Program(abducibles)), names
 
 
 # ---------------------------------------------------------------------------
@@ -435,33 +358,27 @@ def _choice_rules(a: Literal) -> list[Rule]:
 def _prepare_cached(
     ap: AbductiveProgram, extra_constants: frozenset[Term], cfg: RunConfig
 ) -> UpdateProgram:
-    """Name and ground ap over its constants and extra_constants, then
-    emit its update transformation.  Every call with the same arguments
-    returns the same object, so the modes asked of one program share one
-    build and one solve."""
-    nf, name_map = normal_form(ap, cfg)
-    constants = nf.program.constants() | nf.abducibles.constants() | extra_constants
-    gp = ground(nf.program, constants, cfg)
-    # normal_form leaves only single-head facts abducible, each derived
-    # by its own choice only
-    abducible = _ground_heads(nf.abducibles, constants, cfg)
-    rules = [
-        r
-        for r in gp
-        if not (r.is_fact and len(r.head) == 1 and next(iter(r.head)) in abducible)
-    ]
+    """Ground and name ap over its constants and extra_constants by one
+    normal_form call, then emit its update transformation.  Every call
+    with the same arguments returns the same object, so the modes asked
+    of one program share one build and one solve."""
+    nf, names = normal_form(ap, cfg, extra_constants)
+    # every abducible of nf is a single-head fact derived by its own
+    # choice only
+    abducible = sorted((next(iter(r.head)) for r in nf.abducibles.rules), key=Literal.key)
+    rules = [r for r in nf.program if r not in nf.abducibles.rules]
     changes: dict[Atom, tuple[bool, Rule]] = {}
-    for a in sorted(abducible, key=Literal.key):
+    for a in abducible:
         rules += _choice_rules(a)
-        added = fact(a) not in gp
+        added = fact(a) not in nf.program.rules
         update = _internal_literal(_PLUS if added else _MINUS, a)
-        changes[update.atom] = (added, name_map.rule_for(a.atom) or fact(a))
+        changes[update.atom] = (added, names.get(a.atom) or fact(a))
         rules.append(Rule([update], [NafLiteral(a, not added)]))
     return UpdateProgram(Program(rules), changes, cfg)
 
 
 def build_update_program(ap: AbductiveProgram, config: RunConfig | None = None) -> UpdateProgram:
-    """Name, ground, and emit the update transformation of ap.
+    """Ground, name, and emit the update transformation of ap.
     For an observation whose constants all occur in ap this is the very
     object explanations and anti_explanations solve."""
     return _prepare_cached(ap, frozenset(), config or DEFAULT_CONFIG)

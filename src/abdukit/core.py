@@ -9,7 +9,7 @@ constant set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -494,32 +494,15 @@ def _ground_pair(
     return ground(p, shared, config), ground(q, shared, config)
 
 
-@dataclass(frozen=True)
-class LiteralUniverse:
-    """Ground literals constructible from a program's signature.
-
-    Both polarities over every predicate/arity occurring in the program,
-    with arguments drawn from the program's constants.
-    """
-
-    literals: frozenset[Literal] = field(default_factory=frozenset)
-
-    @classmethod
-    def from_program(cls, program: Program) -> LiteralUniverse:
-        constants = tuple(sorted(program.constants(), key=Term.key))
-        out: set[Literal] = set()
-        for pred, arity in program.predicates():
-            for combo in itertools.product(constants, repeat=arity):
-                atom = Atom(pred, combo)
-                out.add(Literal(atom, True))
-                out.add(Literal(atom, False))
-        return cls(frozenset(out))
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(sorted(self.literals, key=Literal.key))
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __contains__(self, literal: Literal) -> bool:
-        return literal in self.literals
+def literal_universe(program: Program) -> tuple[Literal, ...]:
+    """Ground literals constructible from a program's signature, in
+    Literal.key order: both polarities over every predicate/arity
+    occurring in the program, with arguments drawn from its constants."""
+    constants = tuple(sorted(program.constants(), key=Term.key))
+    out: set[Literal] = set()
+    for pred, arity in program.predicates():
+        for combo in itertools.product(constants, repeat=arity):
+            atom = Atom(pred, combo)
+            out.add(Literal(atom, True))
+            out.add(Literal(atom, False))
+    return tuple(sorted(out, key=Literal.key))

@@ -39,7 +39,6 @@ from .abduction import (
     Observation,
     _choice_rules,
     _ground_heads,
-    _ordered_vars,
     _undominated_sets,
     anti_explanations,
     explanations,
@@ -49,7 +48,6 @@ from .core import (
     AbdukitError,
     Atom,
     Literal,
-    LiteralUniverse,
     NafLiteral,
     Program,
     Rule,
@@ -57,6 +55,7 @@ from .core import (
     canonical_form,
     fact,
     ground,
+    literal_universe,
     program_diff,
     program_union,
     var,
@@ -114,6 +113,10 @@ class MultiSolutionProgram:
 
     pi: Program
     delta_atoms: frozenset[Atom]
+
+
+def _ordered_vars(rule: Rule) -> list[str]:
+    return sorted(rule.variables(), key=lambda n: (len(n), n))
 
 
 def _coerce(rules: Program | Iterable[Rule]) -> Program:
@@ -302,8 +305,7 @@ def remove_inconsistency(
         if scope == ALL_RULES:
             abducibles = p
         elif scope == FACT_UNIVERSE:
-            universe = LiteralUniverse.from_program(p)
-            abducibles = Program(fact(l) for l in universe)
+            abducibles = Program(fact(l) for l in literal_universe(p))
         else:
             raise ValueError("bad scope %r" % scope)
     else:

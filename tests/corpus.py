@@ -6,7 +6,18 @@ import random
 
 from abdukit.abduction import AbductiveProgram, build_update_program
 from abdukit.config import RunConfig
-from abdukit.core import Atom, Literal, LiteralUniverse, NafLiteral, Program, Rule, fact
+from abdukit.core import (
+    Atom,
+    Builtin,
+    Literal,
+    NafLiteral,
+    Program,
+    Rule,
+    fact,
+    integer,
+    literal_universe,
+    var,
+)
 
 
 def random_ground_program(
@@ -113,6 +124,101 @@ def random_rule_abduction_instance(
     return program, abducibles, goal
 
 
+_NONGROUND_CONSTANTS = (integer(1), integer(2))
+
+
+def _nonground_literal(rng: random.Random, unary, nullary, terms, negative: float) -> Literal:
+    """A literal over a unary predicate and one of terms, or over a
+    nullary predicate one time in four; strongly negated with the given
+    probability."""
+    if rng.random() < 0.25:
+        atom = Atom(rng.choice(nullary))
+    else:
+        atom = Atom(rng.choice(unary), (rng.choice(terms),))
+    return Literal(atom, rng.random() >= negative)
+
+
+def _nonground_rule(rng: random.Random, unary, nullary, max_vars: int) -> Rule:
+    """A safe rule over one or two variables: each variable occurs in a
+    positive body literal, and the head, the NAF body and the builtin use
+    only those variables and the two constants."""
+    names = ["X", "Y"][: rng.randint(1, max_vars)]
+    variables = [var(n) for n in names]
+    terms = variables + list(_NONGROUND_CONSTANTS)
+    body: list = [
+        NafLiteral(Literal(Atom(rng.choice(unary), (v,)), rng.random() >= 0.15))
+        for v in variables
+    ]
+    if rng.random() < 0.4:
+        body.append(NafLiteral(_nonground_literal(rng, unary, nullary, terms, 0.2), True))
+    if rng.random() < 0.4:
+        lhs = rng.choice(variables)
+        rhs = rng.choice([t for t in terms if t != lhs])
+        body.append(Builtin(rng.choice(("<", "!=", "=")), lhs, rhs))
+    head_size = rng.choices((0, 1, 2), weights=(1, 6, 2))[0]
+    head = [_nonground_literal(rng, unary, nullary, terms, 0.2) for _ in range(head_size)]
+    return Rule(head, body)
+
+
+def random_nonground_abduction_instance(rng: random.Random):
+    """A non-ground abductive triple (program, abducibles, goal) over the
+    integer constants 1 and 2 and predicates of arity 0 and 1.
+
+    The program holds one to three ground facts and one to three safe
+    rules over one or two variables, with disjunctive heads, strong
+    negation and the builtins <, != and =.  The abducibles hold one or
+    two fact patterns, such as p(X), p(1) or r, half the time a ground
+    instance of a p(X) pattern as an overlapping pattern, and up to two
+    rules, each also in the program half the time.  That is at most
+    eight ground abducibles.  The goal is a ground literal of the
+    signature that no abducible fact pattern matches."""
+    unary = ["p", "q", "s"][: rng.randint(2, 3)]
+    nullary = ["r", "t"][: rng.randint(1, 2)]
+    consts = list(_NONGROUND_CONSTANTS)
+    # the first fact is unary, so the program has a constant to ground over
+    rules = [fact(Literal(Atom(rng.choice(unary), (rng.choice(consts),))))]
+    rules += [
+        fact(_nonground_literal(rng, unary, nullary, consts, 0.15))
+        for _ in range(rng.randint(0, 2))
+    ]
+    rules += [_nonground_rule(rng, unary, nullary, 2) for _ in range(rng.randint(1, 3))]
+    patterns = [
+        _nonground_literal(rng, unary, nullary, [var("X"), *consts], 0.15)
+        for _ in range(rng.randint(1, 2))
+    ]
+    open_patterns = [l for l in patterns if l.variables()]
+    if open_patterns and rng.random() < 0.5:
+        opened = rng.choice(open_patterns)
+        patterns.append(opened.substitute({"X": rng.choice(consts)}))
+    abducibles = [fact(l) for l in patterns]
+    count = rng.randint(0, 2)
+    for _ in range(count):
+        # two variables only when alone, to stay within eight instances
+        r = _nonground_rule(rng, unary, nullary, 2 if count == 1 else 1)
+        abducibles.append(r)
+        if rng.random() < 0.5:
+            rules.append(r)
+
+    def matched(lit: Literal) -> bool:
+        return any(
+            p.positive == lit.positive
+            and p.atom.predicate == lit.atom.predicate
+            and all(not t.is_ground or t == u for t, u in zip(p.atom.args, lit.atom.args))
+            for p in patterns
+        )
+
+    signature = sorted(Program(rules + abducibles).predicates())
+    goals = [
+        Literal(Atom(pred, args), positive)
+        for pred, arity in signature
+        for args in ([()] if arity == 0 else [(c,) for c in consts])
+        for positive in (True, False)
+    ]
+    goals = [l for l in goals if not matched(l)]
+    goal = rng.choice(goals) if goals else Literal(Atom("g"))
+    return Program(rules), abducibles, goal
+
+
 def head_cycle_repairs(rng: random.Random, config: RunConfig) -> list[Program]:
     """The update programs of two repairs of a small corpus program whose
     disjunctive head x ; y is closed into a head cycle by x :- y. y :- x.:
@@ -125,7 +231,7 @@ def head_cycle_repairs(rng: random.Random, config: RunConfig) -> list[Program]:
     x, y = sorted(rng.choice(disjunctive).head, key=Literal.key)
     cycle = {Rule([x], [NafLiteral(y, False)]), Rule([y], [NafLiteral(x, False)])}
     program = Program(program.rules | cycle)
-    universe = Program(fact(l) for l in LiteralUniverse.from_program(program))
+    universe = Program(fact(l) for l in literal_universe(program))
     return [
         build_update_program(AbductiveProgram(program, abducibles), config).rules
         for abducibles in (program, universe)

@@ -28,9 +28,11 @@ from abdukit.abduction import (
     u_minimal_filter,
 )
 from abdukit.config import RunConfig
-from abdukit.core import Atom, GroundingBudgetExceeded, Literal, Program, const, fact, var
+from abdukit.core import Atom, GroundingBudgetExceeded, Literal, Program, const, ground, var
 from abdukit.parser import parse, parse_rule
 from abdukit.solver import CandidateBudgetExceeded, answer_sets
+
+from test_properties import own_choices_only
 
 
 def ap_from(text: str) -> AbductiveProgram:
@@ -133,30 +135,31 @@ def test_explanation_canonicalizes_and_sorts():
 
 def test_head_occurrence_is_detected():
     ap = ap_from("a :- q.\nq.\n#abducible a.")
-    assert not ap.satisfies_assumptions()
+    assert not own_choices_only(ap)
     fixed, names = normal_form(ap)
-    assert fixed.satisfies_assumptions()
+    assert own_choices_only(fixed)
     # a is no longer abducible; its name feeds it through a bridge
-    assert fact(Literal(Atom("a"))) not in fixed.abducibles
-    assert "a :- __n1." in {str(r) for r in fixed.program}
-    assert names.rule_for(Atom("__n1")) == parse_rule("a.")
+    assert {str(r) for r in fixed.program} == {"a :- __n1.", "a :- q.", "q."}
+    assert {str(r) for r in fixed.abducibles} == {"__n1."}
+    assert names == {Atom("__n1"): parse_rule("a.")}
 
 
 def test_mixed_disjunctive_fact_is_not_rewritten():
     # the offending fact mentions a non-abducible, so only the abducible
     # status of a changes; the fact itself stays
     ap = ap_from("a; c.\n#abducible a.\n#abducible b.")
-    fixed, _ = normal_form(ap)
-    assert parse_rule("a; c.") in fixed.program
-    assert fact(Literal(Atom("a"))) not in fixed.abducibles
-    assert fact(Literal(Atom("b"))) in fixed.abducibles
-    assert fixed.satisfies_assumptions()
+    fixed, names = normal_form(ap)
+    assert {str(r) for r in fixed.program} == {"a ; c.", "a :- __n1."}
+    assert {str(r) for r in fixed.abducibles} == {"__n1.", "b."}
+    assert names == {Atom("__n1"): parse_rule("a.")}
+    assert own_choices_only(fixed)
 
 
 def test_conforming_program_is_left_alone():
     ap = ap_from(CHAIN)
-    assert ap.satisfies_assumptions()
-    assert normal_form(ap)[0] == ap
+    assert own_choices_only(ap)
+    grounded = AbductiveProgram(ground(ap.program), ground(ap.abducibles))
+    assert normal_form(ap) == (grounded, {})
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,7 @@ def test_normal_form_keeps_fact_only_programs():
     ap = ap_from(CHAIN)
     nf, names = normal_form(ap)
     assert nf == ap
-    assert names.entries == ()
+    assert names == {}
 
 
 def test_normal_form_names_rule_abducibles():
@@ -184,23 +187,29 @@ penguin(tweety).
     nf, names = normal_form(ap)
     got = {str(r) for r in nf.program}
     assert got == {
-        "__n1(V1).",
+        "__n1.",
+        "__n2.",
         "bird(polly).",
-        "bird(V1) :- penguin(V1).",
-        "flies(V1) :- __n1(V1), bird(V1).",
+        "bird(polly) :- penguin(polly).",
+        "bird(tweety) :- penguin(tweety).",
+        "flies(polly) :- __n1, bird(polly).",
+        "flies(tweety) :- __n2, bird(tweety).",
         "penguin(tweety).",
-        "-flies(V1) :- __n2(V1), penguin(V1).",
+        "-flies(polly) :- __n3, penguin(polly).",
+        "-flies(tweety) :- __n4, penguin(tweety).",
     }
-    assert {str(r) for r in nf.abducibles} == {"__n1(V1).", "__n2(V1)."}
-    # the positive rule is in the program, so only its name has a fact
-    assert {str(r): str(a) for r, a in names.entries} == {
-        "flies(V1) :- bird(V1).": "__n1(V1)",
-        "-flies(V1) :- penguin(V1).": "__n2(V1)",
+    assert {str(r) for r in nf.abducibles} == {"__n1.", "__n2.", "__n3.", "__n4."}
+    # the positive instances are in the program, so only their names have
+    # facts; the names follow the ground instances in Rule.key order
+    assert {str(a): str(r) for a, r in names.items()} == {
+        "__n1": "flies(polly) :- bird(polly).",
+        "__n2": "flies(tweety) :- bird(tweety).",
+        "__n3": "-flies(polly) :- penguin(polly).",
+        "__n4": "-flies(tweety) :- penguin(tweety).",
     }
-    # ground name instances decode back to ground rule instances
-    back = names.rule_for(Atom("__n1", (const("tweety"),)))
-    assert back == parse_rule("flies(tweety) :- bird(tweety).")
-    assert names.rule_for(Atom("flies", (const("tweety"),))) is None
+    # each name stands for one ground rule instance
+    assert names[Atom("__n2")] == parse_rule("flies(tweety) :- bird(tweety).")
+    assert Atom("flies", (const("tweety"),)) not in names
 
 
 def test_normal_form_names_disjunctive_facts():
@@ -215,19 +224,19 @@ a; b.
 """
     )
     nf, names = normal_form(ap)
-    # a and b head the named fact, so each is named after it and bridged
+    # a and b head the named fact, so each is named too and bridged
     assert {str(r) for r in nf.program} == {
-        "__n1.",
-        "a ; b :- __n1.",
-        "a :- __n2.",
+        "__n2.",
+        "a ; b :- __n2.",
+        "a :- __n1.",
         "b :- __n3.",
         "p :- a.",
         "p :- b.",
     }
     assert {str(r) for r in nf.abducibles} == {"__n1.", "__n2.", "__n3."}
-    assert names.rule_for(Atom("__n1")) == parse_rule("a; b.")
-    assert names.rule_for(Atom("__n2")) == parse_rule("a.")
-    assert nf.satisfies_assumptions()
+    assert names[Atom("__n2")] == parse_rule("a; b.")
+    assert names[Atom("__n1")] == parse_rule("a.")
+    assert own_choices_only(nf)
 
 
 def test_normal_form_names_single_present_instances():
@@ -241,11 +250,15 @@ bird(polly).
     )
     nf, _ = normal_form(ap)
     got = {str(r) for r in nf.program}
-    # the bare instance leaves the program; its name instance stands for it
-    assert "flies(tweety) :- bird(tweety)." not in got
-    assert "__n1(tweety)." in got
-    assert "__n1(polly)." not in got
-    assert "flies(V1) :- __n1(V1), bird(V1)." in got
+    # the bare instance leaves the program and its name fact stands for
+    # it; the absent instance gets a name but no name fact
+    assert got == {
+        "__n2.",
+        "bird(polly).",
+        "bird(tweety).",
+        "flies(polly) :- __n1, bird(polly).",
+        "flies(tweety) :- __n2, bird(tweety).",
+    }
 
 
 def test_normal_form_honours_the_callers_grounding_budget():
@@ -449,7 +462,6 @@ def test_abducible_fact_heading_an_abducible_rule_is_named():
     # a :- b. derives a, so the fact a gets its own name; both additions
     # explain p, as the oracle says
     ap = ap_from("b.\np :- a.\n#abducible a.\n#abducible a :- b.\n")
-    assert not ap.satisfies_assumptions()
     goal = Observation.positive(Literal(Atom("p")))
     got = explanations(ap, goal)
     assert pairs(got) == expect((["a."], []), (["a :- b."], []))
@@ -466,6 +478,51 @@ def test_all_abducible_disjunctive_fact_changes_nothing_by_itself():
     got = anti_explanations(ap, goal)
     assert pairs(got) == expect(([], []))
     assert got == brute_force_explanations(ap, goal, CREDULOUS, True)
+
+
+def test_overlapping_rule_patterns_share_one_ground_abducible():
+    # p(a) :- q(a). is an instance of both patterns, so it is one choice
+    ap = ap_from(
+        "q(a).\nq(b).\ng :- p(a).\n#abducible p(X) :- q(X).\n#abducible p(a) :- q(a).\n"
+    )
+    goal = Observation.positive(Literal(Atom("g")))
+    got = explanations(ap, goal, CREDULOUS, True)
+    assert [str(e) for e in got] == ["+p(a) :- q(a)."]
+    assert got == brute_force_explanations(ap, goal, CREDULOUS, True)
+    got = explanations(ap, goal, CREDULOUS, False)
+    assert [str(e) for e in got] == ["+p(a) :- q(a).", "+p(a) :- q(a). +p(b) :- q(b)."]
+    assert got == brute_force_explanations(ap, goal, CREDULOUS, False)
+
+
+def test_overlapping_fact_patterns_share_one_ground_abducible():
+    # p(b) :- r. heads p(b), so that instance is named; p(a) stays one choice
+    ap = ap_from("r.\ng :- p(a).\np(b) :- r.\n#abducible p(X).\n#abducible p(a).\n")
+    goal = Observation.positive(Literal(Atom("g")))
+    got = explanations(ap, goal, CREDULOUS, False)
+    assert [str(e) for e in got] == ["+p(a).", "+p(a). +p(b)."]
+    assert got == brute_force_explanations(ap, goal, CREDULOUS, False)
+
+
+def test_abducible_rule_instances_lose_their_builtins():
+    # p(5) :- q(5), 5 < 3. is no ground instance, and p(1)'s true builtin
+    # is dropped, as grounding drops it
+    ap = ap_from("q(1).\nq(5).\ng :- p(1).\n#abducible p(X) :- q(X), X < 3.\n")
+    goal = Observation.positive(Literal(Atom("g")))
+    for minimal in (True, False):
+        got = explanations(ap, goal, CREDULOUS, minimal)
+        assert [str(e) for e in got] == ["+p(1) :- q(1)."]
+        assert got == brute_force_explanations(ap, goal, CREDULOUS, minimal)
+
+
+def test_removed_rule_instances_lose_their_builtins():
+    ap = ap_from(
+        "q(1).\nq(5).\ng :- p(1).\np(X) :- q(X), X < 3.\n#abducible p(X) :- q(X), X < 3.\n"
+    )
+    goal = Observation.negative(Literal(Atom("g")))
+    for minimal in (True, False):
+        got = anti_explanations(ap, goal, CREDULOUS, minimal)
+        assert [str(e) for e in got] == ["-p(1) :- q(1)."]
+        assert got == brute_force_explanations(ap, goal, CREDULOUS, minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -167,14 +167,19 @@ penguin(tweety).
     )
     nf, names = normal_form(ap)
     assert {str(r) for r in nf.program} == {
-        "__n1(V1).",
+        "__n1.",
+        "__n2.",
         "bird(polly).",
-        "bird(V1) :- penguin(V1).",
-        "flies(V1) :- __n1(V1), bird(V1).",
+        "bird(polly) :- penguin(polly).",
+        "bird(tweety) :- penguin(tweety).",
+        "flies(polly) :- __n1, bird(polly).",
+        "flies(tweety) :- __n2, bird(tweety).",
         "penguin(tweety).",
-        "-flies(V1) :- __n2(V1), penguin(V1).",
+        "-flies(polly) :- __n3, penguin(polly).",
+        "-flies(tweety) :- __n4, penguin(tweety).",
     }
-    assert {str(r) for r in nf.abducibles} == {"__n1(V1).", "__n2(V1)."}
+    assert {str(r) for r in nf.abducibles} == {"__n1.", "__n2.", "__n3.", "__n4."}
+    assert names[Atom("__n4")] == parse_rule("-flies(tweety) :- penguin(tweety).")
     cfg = RunConfig(max_universe=24)
     goal = Observation.positive(Literal(Atom("flies", (const("tweety"),)), False))
     assert _pairs(explanations(ap, goal, SKEPTICAL, True, cfg)) == _expect(

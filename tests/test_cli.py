@@ -275,6 +275,15 @@ def test_repair_fact_universe_keeps_a_consistent_disjunctive_fact(tmp_path, caps
     assert out == "% solution 1\n(no change)\n% program:\na ; b.\n"
 
 
+def test_repair_manager_at_the_default_width(files, capsys):
+    # only the constraint instances grounding keeps are named: 16 literals,
+    # within the default max_universe of 18
+    code, out, _ = run(capsys, ["repair", files["manager"]])
+    assert code == 0
+    assert out.count("% solution") == 3
+    assert "-:- employee(john,35), manager(john), not talented(john)." in out
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -287,8 +296,10 @@ def test_transform_normal_form(files, tmp_path, capsys):
     )
     code, out, _ = run(capsys, ["transform", str(path), "normal-form"])
     assert code == 0
-    assert "flies(V1) :- __n1(V1), bird(V1)." in out
-    assert "#abducible __n1(V1)." in out
+    # the normal form is ground: the present instance keeps its name fact
+    assert out == (
+        "__n1.\nbird(tweety).\nflies(tweety) :- __n1, bird(tweety).\n#abducible __n1.\n"
+    )
 
 
 def test_transform_update_program(files, capsys):

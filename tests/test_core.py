@@ -11,7 +11,6 @@ from abdukit.core import (
     Builtin,
     GroundingBudgetExceeded,
     Literal,
-    LiteralUniverse,
     NafLiteral,
     NoConstants,
     Program,
@@ -22,6 +21,7 @@ from abdukit.core import (
     fact,
     ground,
     integer,
+    literal_universe,
     program_diff,
     program_union,
     var,
@@ -204,18 +204,18 @@ def test_literal_universe_both_polarities():
             fact(lit("q")),
         ]
     )
-    u = LiteralUniverse.from_program(p)
-    assert set(u) == {
+    # in Literal.key order: positive literals first
+    assert literal_universe(p) == (
         lit("p"),
-        lit("p", positive=False),
         lit("q"),
+        lit("p", positive=False),
         lit("q", positive=False),
-    }
+    )
 
 
 def test_literal_universe_with_constants():
     p = Program([fact(lit("p", const("a"))), fact(lit("q", const("b")))])
-    u = LiteralUniverse.from_program(p)
+    u = literal_universe(p)
     assert lit("p", const("b")) in u
     assert lit("q", const("a"), positive=False) in u
     assert len(u) == 8

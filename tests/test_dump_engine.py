@@ -28,4 +28,6 @@ def test_dump_is_the_same_under_two_hash_seeds():
     first = _dump(0)
     assert first == _dump(7)
     kinds = {line.split(" ", 1)[0] for line in first.splitlines()}
-    assert kinds == {"abduce", "filter", "rules", "solve", "update", "multi", "cli"}
+    assert kinds == {
+        "abduce", "filter", "rules", "nonground", "solve", "update", "multi", "cli"
+    }

@@ -20,11 +20,11 @@ from abdukit.core import (
     AbdukitError,
     Atom,
     Literal,
-    LiteralUniverse,
     Program,
     canonical_form,
     const,
     fact,
+    literal_universe,
     program_diff,
     program_union,
 )
@@ -518,7 +518,7 @@ def test_repair_fact_universe_searches_a_wide_update_program():
         "  -a2 :- not a2, not -a3."
     ).program
     cfg = RunConfig(max_universe=30)
-    ap = AbductiveProgram(p, Program(fact(l) for l in LiteralUniverse.from_program(p)))
+    ap = AbductiveProgram(p, Program(fact(l) for l in literal_universe(p)))
     # generate and test would visit 2^29 candidates here
     assert bin(encode(build_update_program(ap, cfg).rules).free_mask).count("1") == 29
     sols = remove_inconsistency(p, FACT_UNIVERSE, cfg)
@@ -536,7 +536,7 @@ def test_repair_names_the_source_of_a_renamed_disjunctive_fact():
     sols = remove_inconsistency(p, FACT_UNIVERSE, cfg)
     assert [str(s.delta) for s in sols] == ["+-a1. -a1."]
     assert all(consistent(s.updated_program) for s in sols)
-    ap = AbductiveProgram(p, Program(fact(l) for l in LiteralUniverse.from_program(p)))
+    ap = AbductiveProgram(p, Program(fact(l) for l in literal_universe(p)))
     oracle = brute_force_explanations(ap, Observation.bot(), CREDULOUS, True, cfg)
     assert tuple(s.delta for s in sols) == oracle
 
