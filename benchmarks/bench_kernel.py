@@ -12,6 +12,8 @@ agree (exit status 1 when they do not).  Workloads:
             with a planted head cycle, every rule removable or every fact
             over their literals addable
   choice    n independent choice pairs (2^n answer sets)
+  lp        an odd loop (no answer set) plus 6 disjunctive facts: 13 free
+            bits, and the contradictory-set test searches the facts
 
 Usage: python3 benchmarks/bench_kernel.py [--repeat N] [--instances N]
 
@@ -100,6 +102,11 @@ def _choice_encodings(width: int) -> list:
     return [encode(parse("\n".join(lines)).program)]
 
 
+def _lp_encodings(width: int) -> list:
+    facts = " ".join("p%d ; q%d." % (i, i) for i in range(width))
+    return [encode(parse("a0 :- not a0.  " + facts).program)]
+
+
 def _args(enc) -> tuple:
     return (
         enc.forced,
@@ -139,6 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         ("update", _update_encodings(args.instances, seed=22)),
         ("cycle", _cycle_encodings(args.instances, seed=33)),
         ("choice", _choice_encodings(args.choice_width)),
+        ("lp", _lp_encodings(6)),
     ]
     for name, encodings in workloads:
         _check_agreement(encodings)

@@ -33,6 +33,8 @@ from .abduction import (
     SKEPTICAL,
     AbductiveProgram,
     Observation,
+    _new_constants,
+    _prepare_cached,
     anti_explanations,
     build_update_program,
     explanations,
@@ -166,14 +168,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     goal = _literal(args.obs)
     minimal = not args.all
     if args.trace and not args.json:
-        nf, _ = normal_form(ap, cfg)
+        # the observation's new constants ground both programs, as in the solve
+        extra = _new_constants(ap, goal)
+        nf, _ = normal_form(ap, cfg, extra)
         print("% normal form:")
         _print_program_block(nf.program)
         for rule in nf.abducibles.sorted_rules():
             print("#abducible %s" % rule)
-        up = build_update_program(ap, cfg)
         print("% update program:")
-        _print_program_block(up.rules)
+        _print_program_block(_prepare_cached(ap, extra, cfg).rules)
     if args.neg:
         exps = anti_explanations(ap, Observation.negative(goal), args.mode, minimal, cfg)
     else:

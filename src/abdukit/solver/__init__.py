@@ -5,7 +5,9 @@ possibly-derivable literals, and kernel_py finds its answer sets by one
 least-model search, with or without a head cycle.  The contradictory
 set L_P is modeled explicitly: it is an answer set exactly when the
 program's NAF-free part has no integrity constraint and no consistent
-set satisfies it.
+set satisfies it, which the same search run on that part decides.  The
+search keeps its branches on an explicit stack, so no recursion limit
+bounds its depth.
 
 An AnswerSetResult is the layout, the consistent masks, the L_P flag
 and the AND and OR of the masks.  answer_sets' 64-entry cache holds

@@ -10,14 +10,16 @@ yields the least model of the reduct it selects.  Any other program
 yields one candidate per complete guess, kept when no proper subset of
 it is a model of its reduct.  The contradictory set is an answer set
 when no consistent one is, the NAF-free rules include no constraint and
-they have no consistent model, which one search over the free bits of
-their heads decides, starting from `forced`.  Masks are Python ints, so
-the head zone has no width limit.
+they have no consistent model; the same search over those rules alone
+decides that, stopping at its first answer set.  The search keeps its
+open branches on an explicit stack, so its depth has no recursion bound.
+Masks are Python ints, so the head zone has no width limit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import compress
+from typing import Iterator, Sequence
 
 NAME = "python"
 
@@ -40,16 +42,19 @@ def enumerate_answer_sets(
     zone, and conflict_first marks the positive bit of each
     complementary pair.  The contradictory set is an answer set when the
     NAF-free rules (notfree) include no constraint and have no
-    consistent model.
+    consistent model.  They have one exactly when they have a consistent
+    minimal model, an answer set of theirs, so the same search run on
+    them alone decides it at its first answer set.
     """
-    answers: list[int] = []
-    if forced & (forced >> 1) & conflict_first == 0:
-        answers = _least_models(forced, free_mask, conflict_first, heads, poss, nafs)
+    found = _least_models(forced, free_mask, conflict_first, heads, poss, nafs)
+    answers = sorted(found, reverse=True)
     contradictory = False
     # a consistent answer set is a consistent model of the NAF-free rules
     if not has_naf_free_constraint and not answers:
-        naf_free = [(head, pos) for head, pos, flag in zip(heads, poss, notfree) if flag]
-        contradictory = not _has_consistent_model(forced, free_mask, conflict_first, naf_free)
+        nf_heads, nf_poss = list(compress(heads, notfree)), list(compress(poss, notfree))
+        nf_nafs = [0] * len(nf_heads)
+        first = _least_models(forced, free_mask, conflict_first, nf_heads, nf_poss, nf_nafs)
+        contradictory = next(first, None) is None
     return answers, contradictory
 
 
@@ -95,21 +100,22 @@ def _least_models(
     heads: Sequence[int],
     poss: Sequence[int],
     nafs: Sequence[int],
-) -> list[int]:
-    """Consistent answer sets of a program whose forced core is
-    consistent, largest mask first.
+) -> Iterator[int]:
+    """Yield the consistent answer sets of a program, one at a time.
 
-    Branches on the guessed bits one at a time.  Under a partial guess
-    (true, false), the shifted rules whose NAF bits are all guessed false
-    fire in every completion, so their least model `lower` is in every
-    answer set it leads to.  The rules no true bit blocks may fire, so
-    their least model `upper` bounds every such answer set; a program
-    with a head cycle takes these rules unshifted, since minimality keeps
-    an answer set inside their closure.  An open bit in `lower` must be
-    true and one outside `upper` false; a guess that contradicts either
-    bound, or makes `lower` inconsistent, or leaves a constraint violated
-    whatever the open bits are, has no answer set.  Once no bit is open,
-    a head-cycle-free program has lower == upper, the least model of the
+    Branches on the guessed bits one at a time, "true" before "false",
+    depth first from an explicit stack of partial guesses (true, false),
+    so no recursion bounds the depth.  Under a partial guess, the
+    shifted rules whose NAF bits are all guessed false fire in every
+    completion, so their least model `lower` is in every answer set it
+    leads to.  The rules no true bit blocks may fire, so their least
+    model `upper` bounds every such answer set; a program with a head
+    cycle takes these rules unshifted, since minimality keeps an answer
+    set inside their closure.  An open bit in `lower` must be true and
+    one outside `upper` false; a guess that contradicts either bound, or
+    makes `lower` inconsistent, or leaves a constraint violated whatever
+    the open bits are, has no answer set.  Once no bit is open, a
+    head-cycle-free program has lower == upper, the least model of the
     reduct the guess selects, and an answer set.  Any other program has
     one candidate, the guess closed under the single-head rules it does
     not block; it is kept when it agrees with the guess, is consistent, is
@@ -134,41 +140,41 @@ def _least_models(
     for _, _, naf in shifted:
         guess |= naf
     guess &= free_mask
-    answers: list[int] = []
-
-    def search(true: int, false: int) -> None:
+    stack = [(forced, 0)]
+    while stack:
+        true, false = stack.pop()
         while True:
             lower = _closure(forced, [(h, p) for h, p, naf in shifted if naf & ~false == 0])
             upper = _closure(forced, [(h, p) for h, p, naf in bounding if naf & true == 0])
-            if lower & false or true & ~upper or lower & (lower >> 1) & conflict_first:
-                return
-            if any(pos & ~lower == 0 and naf & upper & ~false == 0 for pos, naf in constraints):
-                return
+            dead = (
+                lower & false
+                or true & ~upper
+                or lower & (lower >> 1) & conflict_first
+                or any(pos & ~lower == 0 and naf & upper & ~false == 0 for pos, naf in constraints)
+            )
             undecided = guess & ~(true | false)
-            if not undecided & (lower | ~upper):
+            if dead or not undecided & (lower | ~upper):
                 break
             true |= undecided & lower
             false |= undecided & ~upper
+        if dead:
+            continue
         if undecided:
             bit = undecided & -undecided
-            search(true | bit, false)
-            search(true, false | bit)
+            stack.append((true, false | bit))
+            stack.append((true | bit, false))
         elif hcf:
-            answers.append(lower)
+            yield lower
         else:
             # the shifted rules hold disjunctive head bits under NAF, so the
             # guess has set them and single-head rules close it
             single = [(h, p) for h, p, naf in rules if naf & true == 0 and not h & (h - 1)]
             m = _closure(true, single)
             if m & false or m & (m >> 1) & conflict_first:
-                return
+                continue
             reduct = [(h, p) for h, p, naf in rules if naf & m == 0]
             if _is_model(m, reduct) and _is_minimal(m, forced, disjunctive, reduct):
-                answers.append(m)
-
-    search(forced, 0)
-    answers.sort(reverse=True)
-    return answers
+                yield m
 
 
 def _closure(model: int, rules: list[tuple[int, int]]) -> int:
@@ -180,32 +186,6 @@ def _closure(model: int, rules: list[tuple[int, int]]) -> int:
                 model |= head
         if model == before:
             return model
-
-
-def _has_consistent_model(
-    forced: int, free_mask: int, conflict_first: int, naf_free: list[tuple[int, int]]
-) -> bool:
-    """Whether some consistent set above forced satisfies every NAF-free rule.
-
-    Such a model cut down to forced plus the NAF-free heads is still one,
-    so only the free bits of those heads are enumerated, upward from
-    forced itself: when the NAF-free rules are definite, forced is their
-    least model and the first test decides.
-    """
-    if forced & (forced >> 1) & conflict_first:
-        return False
-    naf_free_heads = 0
-    for head, _ in naf_free:
-        naf_free_heads |= head
-    mask = free_mask & naf_free_heads
-    s = 0
-    while True:
-        cand = forced | s
-        if cand & (cand >> 1) & conflict_first == 0 and _is_model(cand, naf_free):
-            return True
-        s = (s - mask) & mask
-        if s == 0:
-            return False
 
 
 def _is_model(model: int, rules: list[tuple[int, int]]) -> bool:

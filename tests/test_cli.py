@@ -157,6 +157,17 @@ def test_explain_trace_shows_intermediate_programs(files, capsys):
     assert out.endswith("% solution 1\n+b.\n")
 
 
+def test_explain_trace_grounds_over_the_observation_constants(tmp_path, capsys):
+    # b occurs only in the observation; the solve grounds over it too
+    path = tmp_path / "new_constant.edp"
+    path.write_text("p(X) :- q(X).\nq(a).\n#abducible q(X).\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["explain", str(path), "--obs", "p(b)", "--trace"])
+    assert code == 0
+    assert "p(b) :- q(b)." in out
+    assert "#abducible q(b)." in out
+    assert "__add0_q(b) :- q(b)." in out
+
+
 def test_explain_abducible_observation_is_an_error(files, capsys):
     code, out, err = run(capsys, ["explain", files["trans"], "--obs", "a"])
     assert code == 2

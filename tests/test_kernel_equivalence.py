@@ -9,6 +9,7 @@ order, and the same answer on the contradictory set.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import OrderedDict
 
@@ -177,7 +178,7 @@ def test_search_matches_reference(empty_cache):
 
 
 def test_contradictory_set_with_disjunctive_naf_free_rules(empty_cache):
-    # the L_P test searches models of the NAF-free rules, not the search
+    # L_P is decided by the same search, run on the NAF-free rules alone
     rng = random.Random(20261025)
     seen = contradictory = 0
     while seen < 300:
@@ -207,6 +208,31 @@ def test_contradictory_set_ignores_bits_outside_naf_free_heads(empty_cache):
     result = answer_sets(p, RunConfig(max_universe=64))
     assert time.process_time() - start < 1.0
     assert result.sets == (CONTRADICTORY,)
+
+
+def test_contradictory_set_test_prunes_disjunctive_facts(empty_cache):
+    # the odd loop has no answer set and the 24 disjunctive facts have a
+    # consistent model, so L_P is not one; 48 free bits of NAF-free heads
+    facts = " ".join("p%d ; q%d." % (i, i) for i in range(24))
+    p = parse("a0 :- not a0.  " + facts).program
+    start = time.process_time()
+    result = answer_sets(p, RunConfig(max_universe=64))
+    assert time.process_time() - start < 1.0
+    assert result.sets == ()
+    assert not result.contains_contradictory
+
+
+def test_search_depth_has_no_recursion_bound(empty_cache):
+    # one decision per guarded choice, far deeper than the recursion limit
+    choices = " ".join("a%d :- not b%d.  b%d :- not a%d.  :- b%d." % ((i,) * 5) for i in range(300))
+    p = parse(choices).program
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = answer_sets(p, RunConfig(max_universe=600))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(result.sets) == 1
 
 
 def _repair_programs(count: int, seed: int) -> list[Program]:
